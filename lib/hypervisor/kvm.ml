@@ -112,8 +112,6 @@ type nvm = {
 
 type normal_exit = N_timer | N_shutdown | N_limit | N_error of string
 
-let zero_page t pa = Bus.write_bytes t.machine.Machine.bus pa (String.make 4096 '\x00')
-
 let create_normal_vm t ~entry_pc ~image =
   match Host_mem.alloc_pages t.mem ~align:0x4000L 4 with
   | None -> Error "out of host memory for stage-2 root"
@@ -154,7 +152,7 @@ let create_normal_vm t ~entry_pc ~image =
             match Host_mem.alloc_pages t.mem 1 with
             | None -> Error "out of host memory for guest image"
             | Some pa -> begin
-                zero_page t pa;
+                Bus.zero_range t.machine.Machine.bus pa 4096;
                 match
                   Zion.Spt.map_private nvm.spt ~gpa:page_gpa ~pa
                     ~writable:true
@@ -203,7 +201,7 @@ let handle_nvm_fault t nvm gpa =
   match Host_mem.alloc_pages t.mem 1 with
   | None -> Error "host out of memory"
   | Some pa -> begin
-      zero_page t pa;
+      Bus.zero_range t.machine.Machine.bus pa 4096;
       match Zion.Spt.map_private nvm.spt ~gpa:page_gpa ~pa ~writable:true with
       | Error e -> Error e
       | Ok () ->

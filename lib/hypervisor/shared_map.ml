@@ -2,13 +2,11 @@ open Riscv
 
 type t = { bus : Bus.t; mem : Host_mem.t; root : int64 }
 
-let zero_page bus pa = Bus.write_bytes bus pa (String.make 4096 '\x00')
-
 let create ~bus mem =
   match Host_mem.alloc_pages mem 1 with
   | None -> Error "shared_map: out of host memory"
   | Some root ->
-      zero_page bus root;
+      Bus.zero_range bus root 4096;
       Ok { bus; mem; root }
 
 let root t = t.root
@@ -33,7 +31,7 @@ let ensure_l0 t gpa =
     match Host_mem.alloc_pages t.mem 1 with
     | None -> Error "shared_map: out of host memory"
     | Some l0 ->
-        zero_page t.bus l0;
+        Bus.zero_range t.bus l0 4096;
         write_pte t t.root i1
           (Pte.make_pointer ~ppn:(Int64.shift_right_logical l0 12));
         Ok l0
@@ -67,7 +65,7 @@ let map_fresh t ~gpa =
       match Host_mem.alloc_pages t.mem 1 with
       | None -> Error "shared_map: out of host memory"
       | Some pa -> begin
-          zero_page t.bus pa;
+          Bus.zero_range t.bus pa 4096;
           match write_leaf t gpa pa with
           | Ok () -> Ok pa
           | Error e -> Error e

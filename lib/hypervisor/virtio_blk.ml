@@ -3,9 +3,12 @@ open Riscv
 let sid = 3
 let sector_size = 512
 
+(* The disk is a sparse store of 4 KiB chunks: a chunk never written
+   with a non-zero byte is absent and reads as zeros, so the 128 MiB
+   default disk costs only what the guests wrote to it. *)
 type t = {
   bus : Bus.t;
-  disk : Bytes.t;
+  disk : Physmem.t;
   mutable translate : int64 -> int64 option;
   mutable desc_gpa : int64;
   mutable status : int64;
@@ -20,7 +23,8 @@ let create ~bus ~capacity_sectors =
     invalid_arg "Virtio_blk.create: non-positive capacity";
   {
     bus;
-    disk = Bytes.make (capacity_sectors * sector_size) '\x00';
+    disk =
+      Physmem.create ~size:(Int64.of_int (capacity_sectors * sector_size));
     translate = (fun _ -> None);
     desc_gpa = 0L;
     status = 0L;
@@ -89,9 +93,15 @@ let le_u32 s off = Int64.to_int (Int64.logand (le_u64 s off) 0xFFFFFFFFL)
    proves the product fits inside the disk, so a sector near max_int
    cannot wrap negative and slip past the comparison. *)
 let bounds_ok t ~sector ~len =
-  let disk_len = Bytes.length t.disk in
+  let disk_len = Int64.to_int (Physmem.size t.disk) in
   sector >= 0 && len >= 0 && len <= disk_len
   && sector <= (disk_len - len) / sector_size
+
+let disk_read t ~sector ~len =
+  Physmem.read_bytes t.disk (Int64.of_int (sector * sector_size)) len
+
+let disk_write t ~sector data =
+  Physmem.write_bytes t.disk (Int64.of_int (sector * sector_size)) data
 
 let process t =
   let tr = obs t in
@@ -109,10 +119,9 @@ let process t =
         let data_gpa = le_u64 desc 16 in
         (if not (bounds_ok t ~sector ~len) then ()
          else
-           let disk_off = sector * sector_size in
            if op = 0 then begin
              (* device -> guest *)
-             let data = Bytes.sub_string t.disk disk_off len in
+             let data = disk_read t ~sector ~len in
              if dma_write_gpa t data_gpa data then begin
                t.requests <- t.requests + 1;
                t.bytes_r <- t.bytes_r + len;
@@ -123,7 +132,7 @@ let process t =
              match dma_read_gpa t data_gpa len with
              | None -> ()
              | Some data ->
-                 Bytes.blit_string data 0 t.disk disk_off len;
+                 disk_write t ~sector data;
                  t.requests <- t.requests + 1;
                  t.bytes_w <- t.bytes_w + len;
                  t.status <- 0L
@@ -149,9 +158,8 @@ let process t =
 let serve_ring t ~write ~sector ~len ~data_gpa =
   if not (bounds_ok t ~sector ~len) then Error "blk.bounds"
   else begin
-    let disk_off = sector * sector_size in
     if not write then begin
-      let data = Bytes.sub_string t.disk disk_off len in
+      let data = disk_read t ~sector ~len in
       if dma_write_gpa t data_gpa data then begin
         t.requests <- t.requests + 1;
         t.bytes_r <- t.bytes_r + len;
@@ -163,7 +171,7 @@ let serve_ring t ~write ~sector ~len ~data_gpa =
       match dma_read_gpa t data_gpa len with
       | None -> Error "blk.dma"
       | Some data ->
-          Bytes.blit_string data 0 t.disk disk_off len;
+          disk_write t ~sector data;
           t.requests <- t.requests + 1;
           t.bytes_w <- t.bytes_w + len;
           Ok len
@@ -183,8 +191,11 @@ let bytes_read t = t.bytes_r
 let bytes_written t = t.bytes_w
 
 let read_backing t ~sector ~len =
-  Bytes.sub_string t.disk (sector * sector_size) len
+  if not (bounds_ok t ~sector ~len) then
+    invalid_arg "Virtio_blk.read_backing: out of range";
+  disk_read t ~sector ~len
 
 let write_backing t ~sector data =
-  Bytes.blit_string data 0 t.disk (sector * sector_size)
-    (String.length data)
+  if not (bounds_ok t ~sector ~len:(String.length data)) then
+    invalid_arg "Virtio_blk.write_backing: out of range";
+  disk_write t ~sector data

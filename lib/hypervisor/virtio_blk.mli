@@ -13,7 +13,13 @@
     - [0x10] (read, 4 B): status of the last operation (0 = OK)
 
     Descriptor layout: sector (8 B) | byte length (4 B) | op (4 B,
-    0 = read, 1 = write) | data GPA (8 B). *)
+    0 = read, 1 = write) | data GPA (8 B).
+
+    The disk contents live in sparse 4 KiB chunks (a {!Riscv.Physmem}
+    store sized to the capacity): a chunk is created by the first
+    non-zero byte written into it, and an absent chunk reads as zeros.
+    Capacity and bounds checks are those of a dense disk of
+    [capacity_sectors] sectors; only host memory differs. *)
 
 type t
 
@@ -21,6 +27,9 @@ val sid : int
 (** Bus-master source id used for IOPMP checks. *)
 
 val create : bus:Riscv.Bus.t -> capacity_sectors:int -> t
+(** A disk of [capacity_sectors] 512-byte sectors, all zero. Costs no
+    host memory until written. Raises [Invalid_argument] on a
+    non-positive capacity. *)
 
 val set_translate : t -> (int64 -> int64 option) -> unit
 (** Install the GPA→PA translation (the hypervisor's shared map for a
@@ -52,6 +61,10 @@ val serve_ring :
     [Riscv.Bus.Fault] when the IOPMP rejects the DMA. *)
 
 val read_backing : t -> sector:int -> len:int -> string
-(** Inspect the disk contents (tests). *)
+(** Inspect the disk contents (tests). Raises [Invalid_argument] when
+    the range is not inside the disk, under the same bounds check as a
+    guest request. *)
 
 val write_backing : t -> sector:int -> string -> unit
+(** Seed the disk contents directly, bypassing DMA and counters. Raises
+    [Invalid_argument] when the range is not inside the disk. *)

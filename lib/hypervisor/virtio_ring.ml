@@ -107,7 +107,7 @@ type host = {
 let scrub ctx =
   match ctx.translate Sw.ring_gpa with
   | None -> ()
-  | Some pa -> Bus.write_bytes ctx.bus pa (String.make 4096 '\x00')
+  | Some pa -> Bus.zero_range ctx.bus pa 4096
 
 let create_pair ctx =
   scrub ctx;

@@ -124,6 +124,10 @@ let write_bytes t addr s =
   require_dram t addr (String.length s);
   Physmem.write_bytes t.dram (Int64.sub addr dram_base) s
 
+let zero_range t addr len =
+  require_dram t addr len;
+  Physmem.zero_range t.dram (Int64.sub addr dram_base) (Int64.of_int len)
+
 let dma_read t ~sid addr len =
   if not (Iopmp.check t.iopmp ~sid Iopmp.Read addr len) then
     raise (Fault addr);

@@ -60,6 +60,10 @@ val read_bytes : t -> int64 -> int -> string
 
 val write_bytes : t -> int64 -> string -> unit
 
+val zero_range : t -> int64 -> int -> unit
+(** [zero_range t addr len] clears [len] bytes of DRAM without building
+    a buffer (see {!Physmem.zero_range}). Raises [Fault] outside DRAM. *)
+
 val dma_read : t -> sid:int -> int64 -> int -> string
 (** Device-initiated read, checked against the IOPMP. Raises [Fault]. *)
 

@@ -3,9 +3,9 @@ let page_bits = 12
 
 (* Each backing page carries a write generation so PA-keyed caches
    above (the decoded-instruction cache) can validate with one load.
-   Every mutation path funnels through [write_raw], so the counter
-   covers guest stores, DMA, monitor scrubs and migration imports
-   alike. *)
+   Every mutation path funnels through [write_raw] or [zero_range], so
+   the counter covers guest stores, DMA, monitor scrubs and migration
+   imports alike. *)
 type page = { bytes : Bytes.t; mutable gen : int }
 
 type t = { size : int64; pages : (int, page) Hashtbl.t }
@@ -22,29 +22,48 @@ let check t off len =
       (Printf.sprintf "Physmem: access %s+%d out of range" (Xword.to_hex off)
          len)
 
-let page t idx =
-  match Hashtbl.find_opt t.pages idx with
-  | Some p -> p
-  | None ->
-      let p = { bytes = Bytes.make page_size '\x00'; gen = 0 } in
-      Hashtbl.add t.pages idx p;
-      p
+let materialise t idx =
+  let p = { bytes = Bytes.make page_size '\x00'; gen = 0 } in
+  Hashtbl.add t.pages idx p;
+  p
 
 let page_handle t off =
   check t off 1;
-  page t (Int64.to_int (Int64.shift_right_logical off page_bits))
+  let idx = Int64.to_int (Int64.shift_right_logical off page_bits) in
+  match Hashtbl.find_opt t.pages idx with
+  | Some p -> p
+  | None -> materialise t idx
 
 let page_gen p = p.gen
 
-(* Split an access at page granularity; most accesses stay in one page. *)
+let is_zero s pos len =
+  let stop = pos + len in
+  let rec words i =
+    if i + 8 <= stop then String.get_int64_ne s i = 0L && words (i + 8)
+    else bytes i
+  and bytes i =
+    i >= stop || (String.unsafe_get s i = '\x00' && bytes (i + 1))
+  in
+  words pos
+
+let store p in_page s pos len =
+  Bytes.blit_string s pos p.bytes in_page len;
+  p.gen <- p.gen + 1
+
+(* Split an access at page granularity; most accesses stay in one page.
+   Zeros written to an absent page are dropped: it already reads as
+   zeros, and since only [page_handle] hands out handles and pages are
+   never removed, nothing can observe that the write was skipped. *)
 let rec write_raw t off s pos len =
   if len > 0 then begin
     let idx = Int64.to_int (Int64.shift_right_logical off page_bits) in
     let in_page = Int64.to_int (Int64.logand off 0xFFFL) in
     let chunk = min len (page_size - in_page) in
-    let p = page t idx in
-    Bytes.blit_string s pos p.bytes in_page chunk;
-    p.gen <- p.gen + 1;
+    (match Hashtbl.find_opt t.pages idx with
+    | Some p -> store p in_page s pos chunk
+    | None ->
+        if not (is_zero s pos chunk) then
+          store (materialise t idx) in_page s pos chunk);
     write_raw t
       (Int64.add off (Int64.of_int chunk))
       s (pos + chunk) (len - chunk)
@@ -66,7 +85,7 @@ let read_bytes t off len =
   check t off len;
   let buf = Bytes.create len in
   read_raw t off buf 0 len;
-  Bytes.to_string buf
+  Bytes.unsafe_to_string buf
 
 let write_bytes t off s =
   check t off (String.length s);
@@ -104,15 +123,22 @@ let write_u32 t off v = write_uint t off 4 (Int64.logand v 0xFFFFFFFFL)
 let read_u64 t off = read_uint t off 8
 let write_u64 t off v = write_uint t off 8 v
 
+(* Absent pages already read as zeros, so only present ones are
+   touched: cleared in place with their generation bumped. *)
 let zero_range t off len =
-  check t off (Int64.to_int len);
-  let zeros = String.make (min (Int64.to_int len) page_size) '\x00' in
+  let len = Int64.to_int len in
+  check t off len;
   let rec go off remaining =
-    if remaining > 0L then begin
-      let chunk = Int64.to_int (min remaining (Int64.of_int page_size)) in
-      write_raw t off zeros 0 chunk;
-      go (Int64.add off (Int64.of_int chunk))
-        (Int64.sub remaining (Int64.of_int chunk))
+    if remaining > 0 then begin
+      let idx = Int64.to_int (Int64.shift_right_logical off page_bits) in
+      let in_page = Int64.to_int (Int64.logand off 0xFFFL) in
+      let chunk = min remaining (page_size - in_page) in
+      (match Hashtbl.find_opt t.pages idx with
+      | Some p ->
+          Bytes.fill p.bytes in_page chunk '\x00';
+          p.gen <- p.gen + 1
+      | None -> ());
+      go (Int64.add off (Int64.of_int chunk)) (remaining - chunk)
     end
   in
   go off len

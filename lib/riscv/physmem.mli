@@ -1,8 +1,11 @@
 (** Sparse physical memory.
 
-    Backing store for the machine's DRAM: 4 KiB pages allocated on first
-    touch, so a multi-gigabyte address space costs only what is used.
-    All multi-byte accesses are little-endian, as on RISC-V. *)
+    Backing store for the machine's DRAM: 4 KiB pages materialised on the
+    first non-zero write or [page_handle], so a multi-gigabyte address
+    space costs only the bytes that were ever made non-zero. Writing
+    zeros to a page that was never materialised is a no-op: it already
+    reads as zeros, and with no handle holder nothing can tell. All
+    multi-byte accesses are little-endian, as on RISC-V. *)
 
 type t
 
@@ -32,14 +35,18 @@ val write_bytes : t -> int64 -> string -> unit
 
 val zero_range : t -> int64 -> int64 -> unit
 (** [zero_range t off len] clears a byte range (page scrubbing on
-    confidential-VM memory reclamation). *)
+    confidential-VM memory reclamation). Materialised pages in the range
+    are cleared in place and have their generation bumped; absent pages
+    are skipped and stay absent. *)
 
 val allocated_pages : t -> int
-(** Number of 4 KiB pages materialised so far. *)
+(** Number of 4 KiB pages materialised so far: those that ever took a
+    non-zero byte or were handed out by [page_handle]. Pages are never
+    dropped, so the count only grows. *)
 
 val page_handle : t -> int64 -> page
 (** [page_handle t off] — the backing page containing byte [off]
-    (materialising it if never touched). The handle stays valid for the
+    (materialising it if absent). The handle stays valid for the
     life of [t]; PA-keyed caches hold it to validate with one load.
     Raises [Invalid_argument] when [off] is out of range. *)
 
