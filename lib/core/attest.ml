@@ -9,12 +9,16 @@ let le64 v =
   String.init 8 (fun i ->
       Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff))
 
-let extend m ~gpa data =
-  check_open m "Attest.extend";
+let extend_sub m ~gpa data off len =
+  if off < 0 || len < 0 || off > String.length data - len then
+    invalid_arg "Attest.extend_sub: slice outside the string";
+  check_open m "Attest.extend_sub";
   Crypto.Sha256.update m.ctx "page:";
   Crypto.Sha256.update m.ctx (le64 gpa);
-  Crypto.Sha256.update m.ctx (le64 (Int64.of_int (String.length data)));
-  Crypto.Sha256.update m.ctx data
+  Crypto.Sha256.update m.ctx (le64 (Int64.of_int len));
+  Crypto.Sha256.update_sub m.ctx data off len
+
+let extend m ~gpa data = extend_sub m ~gpa data 0 (String.length data)
 
 let extend_config m config =
   check_open m "Attest.extend_config";
@@ -119,13 +123,16 @@ let read_le32 s off =
   done;
   !v
 
+(* Blob: magic ‖ le32 plaintext length ‖ iv ‖ ct ‖ tag. The tag covers
+   everything before it, the length included: the host stores the blob,
+   and a length outside the MAC would let it truncate the plaintext. *)
 let seal_data ~measurement data =
   let enc_key, mac_key = seal_keys ~measurement in
   (* SIV-style deterministic IV over the plaintext *)
   let iv = String.sub (hmac_sha256 ~key:mac_key data) 0 16 in
   let ct = Crypto.Aes.cbc_encrypt ~key:enc_key ~iv (pad16 data) in
-  let tag = hmac_sha256 ~key:mac_key (iv ^ ct) in
-  seal_magic ^ le32 (String.length data) ^ iv ^ ct ^ tag
+  let body = seal_magic ^ le32 (String.length data) ^ iv ^ ct in
+  body ^ hmac_sha256 ~key:mac_key body
 
 let unseal_data ~measurement blob =
   let hdr = 5 + 4 + 16 in
@@ -140,7 +147,8 @@ let unseal_data ~measurement blob =
     else begin
       let ct = String.sub blob hdr ct_len in
       let tag = String.sub blob (hdr + ct_len) 32 in
-      if not (constant_time_eq tag (hmac_sha256 ~key:mac_key (iv ^ ct))) then
+      let body = String.sub blob 0 (hdr + ct_len) in
+      if not (constant_time_eq tag (hmac_sha256 ~key:mac_key body)) then
         Error "sealed blob failed authentication (wrong CVM or tampered)"
       else begin
         let padded = Crypto.Aes.cbc_decrypt ~key:enc_key ~iv ct in

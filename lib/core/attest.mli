@@ -9,7 +9,19 @@
 type measurement_ctx
 
 val start : unit -> measurement_ctx
+
 val extend : measurement_ctx -> gpa:int64 -> string -> unit
+(** Measure one chunk loaded at [gpa]: the context absorbs ["page:"],
+    then [gpa] and the chunk's length as 8-byte little-endian words, then
+    the chunk. Same as [extend_sub] over the whole string. *)
+
+val extend_sub : measurement_ctx -> gpa:int64 -> string -> int -> int -> unit
+(** [extend_sub m ~gpa s off len] measures bytes [off .. off + len - 1]
+    of [s] as if that slice had been passed to [extend], without copying
+    it. Raises [Invalid_argument] when [off, len] is not a slice of [s]
+    or the measurement is already sealed; the context is untouched
+    then. *)
+
 val extend_config : measurement_ctx -> string -> unit
 val seal : measurement_ctx -> string
 (** 32-byte measurement; the context must not be extended afterwards. *)

@@ -161,14 +161,15 @@ let seal ?nonce im =
     String.sub (Attest.hmac_sha256 ~key:mac_key (nonce ^ payload)) 0 16
   in
   let ct = Crypto.Aes.cbc_encrypt ~key:enc_key ~iv (pad16 payload) in
-  let tag = Attest.hmac_sha256 ~key:mac_key (nonce ^ iv ^ ct) in
   let b = Buffer.create (String.length ct + 80) in
   Buffer.add_string b magic;
   put_u32 b (String.length payload);
   Buffer.add_string b nonce;
   Buffer.add_string b iv;
   Buffer.add_string b ct;
-  Buffer.add_string b tag;
+  (* The tag covers the whole header: a payload length outside it would
+     let the host append up to 15 padding bytes to the payload. *)
+  Buffer.add_string b (Attest.hmac_sha256 ~key:mac_key (Buffer.contents b));
   Buffer.contents b
 
 let constant_time_eq a b =
@@ -187,18 +188,15 @@ let unseal blob =
   else if String.sub blob 0 5 <> magic then Error "bad migration magic"
   else begin
     let payload_len = get_u32 blob 5 in
-    let nonce = String.sub blob 9 nonce_len in
     let iv = String.sub blob (9 + nonce_len) 16 in
     let ct_len = String.length blob - hdr - 32 in
     if ct_len <= 0 || ct_len mod 16 <> 0 then Error "bad ciphertext length"
     else begin
       let ct = String.sub blob hdr ct_len in
       let tag = String.sub blob (hdr + ct_len) 32 in
-      if
-        not
-          (constant_time_eq tag
-             (Attest.hmac_sha256 ~key:mac_key (nonce ^ iv ^ ct)))
-      then Error "migration blob failed authentication"
+      let body = String.sub blob 0 (hdr + ct_len) in
+      if not (constant_time_eq tag (Attest.hmac_sha256 ~key:mac_key body)) then
+        Error "migration blob failed authentication"
       else begin
         let padded = Crypto.Aes.cbc_decrypt ~key:enc_key ~iv ct in
         if payload_len > String.length padded then

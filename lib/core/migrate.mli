@@ -9,11 +9,11 @@
     [Monitor.import_cvm] on the destination verifies and decrypts the
     blob and rebuilds the CVM inside fresh secure memory.
 
-    Format (after the clear-text header "ZMIG2" + length): a 16-byte
-    per-export session nonce, SIV-style synthetic IV (MAC of
+    Format (after the clear-text header "ZMIG2" + payload length): a
+    16-byte per-export session nonce, SIV-style synthetic IV (MAC of
     nonce + plaintext), AES-128-CBC ciphertext, HMAC-SHA256 tag over
-    nonce + IV + ciphertext (encrypt-then-MAC). Keys: HKDF-like
-    HMAC(platform_key, label). The nonce breaks export determinism:
+    everything before it, header included (encrypt-then-MAC). Keys:
+    HKDF-like HMAC(platform_key, label). The nonce breaks export determinism:
     without it two exports of an unchanged CVM are byte-identical and
     the untrusted host can correlate them. *)
 

@@ -838,9 +838,10 @@ let load_image_impl t ~cvm:id ~gpa data =
           if page >= npages then Ok ()
           else begin
             let page_gpa = Int64.add gpa (Int64.of_int (page * 4096)) in
-            let chunk =
-              String.sub data (page * 4096) (min 4096 (len - (page * 4096)))
-            in
+            (* Each page is written and measured as a slice of [data]:
+               the image is copied once, into DRAM. *)
+            let off = page * 4096 in
+            let chunk_len = min 4096 (len - off) in
             let target =
               match Spt.lookup cvm.Cvm.spt ~gpa:page_gpa with
               | Some pa -> Ok pa
@@ -857,9 +858,9 @@ let load_image_impl t ~cvm:id ~gpa data =
             match target with
             | Error e -> Error e
             | Ok pa ->
-                Bus.write_bytes bus pa chunk;
+                Bus.write_sub bus pa data off chunk_len;
                 (match cvm.Cvm.measurement_ctx with
-                | Some m -> Attest.extend m ~gpa:page_gpa chunk
+                | Some m -> Attest.extend_sub m ~gpa:page_gpa data off chunk_len
                 | None -> ());
                 Journal.checkpoint t.journal jr
                   (Printf.sprintf "page:%d" page);
@@ -1851,7 +1852,7 @@ let write_guest t cvm ~gpa data =
       | Some pa ->
           let in_page = 4096 - Int64.to_int (Int64.logand g 0xFFFL) in
           let chunk = min in_page (len - off) in
-          Bus.write_bytes bus pa (String.sub data off chunk);
+          Bus.write_sub bus pa data off chunk;
           go (off + chunk)
     end
   in

@@ -1,10 +1,13 @@
-(* SHA-256 over 32-bit words. OCaml ints are 63-bit here, so we keep all
-   word values masked to 32 bits after every operation. *)
+(* SHA-256 (FIPS 180-4), a word at a time.
+
+   Only the low 32 bits of a sum are significant, and those never
+   depend on bits above them, so a value is masked to 32 bits only where
+   it is next shifted right and junk above bit 31 would leak down: the
+   two words a round produces and each expanded schedule word. Sigma
+   terms, [ch], [maj] and partial sums may carry junk that the next mask
+   drops. *)
 
 let mask = 0xFFFFFFFF
-let lnot32 a = lnot a land mask
-let add32 a b = (a + b) land mask
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
 
 let k =
   [|
@@ -23,10 +26,10 @@ let k =
 
 type ctx = {
   h : int array; (* 8 state words *)
-  buf : Bytes.t; (* 64-byte block buffer *)
+  w : int array; (* message schedule scratch *)
+  buf : Bytes.t; (* a partial block carried between updates *)
   mutable buf_len : int;
   mutable total : int; (* total message bytes *)
-  w : int array; (* message schedule scratch *)
 }
 
 let init () =
@@ -36,109 +39,174 @@ let init () =
         0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f;
         0x9b05688c; 0x1f83d9ab; 0x5be0cd19;
       |];
+    w = Array.make 64 0;
     buf = Bytes.create 64;
     buf_len = 0;
     total = 0;
-    w = Array.make 64 0;
   }
 
-let compress ctx block off =
+(* Word arithmetic. Inside [W.( )] the usual operators act on [int64].
+   Local [int64] values that never leave [compress] compile to plain
+   machine operations with no tag bit to maintain, which makes the
+   rounds faster than on tagged [int]s; a word passed to a function that
+   is not inlined would be boxed instead, so everything here inlines. *)
+module W = struct
+  external ( + ) : int64 -> int64 -> int64 = "%int64_add"
+  external ( land ) : int64 -> int64 -> int64 = "%int64_and"
+  external ( lor ) : int64 -> int64 -> int64 = "%int64_or"
+  external ( lxor ) : int64 -> int64 -> int64 = "%int64_xor"
+  external ( lsl ) : int64 -> int -> int64 = "%int64_lsl"
+  external ( lsr ) : int64 -> int -> int64 = "%int64_lsr"
+
+  let mask = 0xFFFFFFFFL
+
+  (* [x] (32 bits) with a copy of itself above it: shifting the result
+     right by n < 32 leaves x rotated right by n in the low 32 bits. The
+     sigmas therefore expect a 32-bit input and leave junk above bit 31
+     for the caller's mask. *)
+  let[@inline] dup x = x lor (x lsl 32)
+
+  let[@inline] big_sigma0 x =
+    let d = dup x in
+    d lsr 2 lxor (d lsr 13) lxor (d lsr 22)
+
+  let[@inline] big_sigma1 x =
+    let d = dup x in
+    d lsr 6 lxor (d lsr 11) lxor (d lsr 25)
+
+  let[@inline] small_sigma0 x =
+    let d = dup x in
+    d lsr 7 lxor (d lsr 18) lxor (x lsr 3)
+
+  let[@inline] small_sigma1 x =
+    let d = dup x in
+    d lsr 17 lxor (d lsr 19) lxor (x lsr 10)
+
+  let[@inline] ch e f g = g lxor (e land (f lxor g))
+  let[@inline] maj a b c = a land b lor (c land (a lor b))
+end
+
+(* [a.(j + i)] as a word. Every index used below is in bounds by
+   construction (0..63 into the schedule and constants, 0..7 into the
+   state), hence [unsafe_get]. *)
+let[@inline] ld a j i = Int64.of_int (Array.unsafe_get a (j + i))
+
+(* One 64-byte block starting at [s.[off]]; the caller has checked that
+   it lies inside [s]. The rounds are unrolled by 8: rather than
+   shifting eight words along every round, the round is written eight
+   times with its variables rotated, so each round assigns only the two
+   words it produces. Each round adds the terms that do not depend on
+   the previous round first, keeping them off the round-to-round chain. *)
+let compress ctx s off =
   let w = ctx.w in
   for i = 0 to 15 do
-    let base = off + (i * 4) in
-    w.(i) <-
-      (Char.code (Bytes.get block base) lsl 24)
-      lor (Char.code (Bytes.get block (base + 1)) lsl 16)
-      lor (Char.code (Bytes.get block (base + 2)) lsl 8)
-      lor Char.code (Bytes.get block (base + 3))
+    w.(i) <- Int32.to_int (String.get_int32_be s (off + (4 * i))) land mask
   done;
   for i = 16 to 63 do
-    let s0 =
-      rotr w.(i - 15) 7 lxor rotr w.(i - 15) 18 lxor (w.(i - 15) lsr 3)
-    in
-    let s1 =
-      rotr w.(i - 2) 17 lxor rotr w.(i - 2) 19 lxor (w.(i - 2) lsr 10)
-    in
-    w.(i) <- add32 (add32 w.(i - 16) s0) (add32 w.(i - 7) s1)
+    Array.unsafe_set w i
+      (Int64.to_int
+         W.(
+           (small_sigma1 (ld w i (-2))
+           + ld w i (-7)
+           + small_sigma0 (ld w i (-15))
+           + ld w i (-16))
+           land mask))
   done;
   let h = ctx.h in
-  let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
-  let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
-  for i = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = !e land !f lxor (lnot32 !e land !g) in
-    let t1 = add32 (add32 !hh s1) (add32 (add32 ch k.(i)) w.(i)) in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = !a land !b lxor (!a land !c) lxor (!b land !c) in
-    let t2 = add32 s0 maj in
-    hh := !g;
-    g := !f;
-    f := !e;
-    e := add32 !d t1;
-    d := !c;
-    c := !b;
-    b := !a;
-    a := add32 t1 t2
+  let a = ref (ld h 0 0) and b = ref (ld h 0 1) and c = ref (ld h 0 2) in
+  let d = ref (ld h 0 3) and e = ref (ld h 0 4) and f = ref (ld h 0 5) in
+  let g = ref (ld h 0 6) and hh = ref (ld h 0 7) in
+  let next = ref 0 in
+  while !next < 64 do
+    let j = !next in
+    let t = W.(!hh + ld k j 0 + ld w j 0 + ch !e !f !g + big_sigma1 !e) in
+    d := W.((!d + t) land mask);
+    hh := W.((t + (big_sigma0 !a + maj !a !b !c)) land mask);
+    let t = W.(!g + ld k j 1 + ld w j 1 + ch !d !e !f + big_sigma1 !d) in
+    c := W.((!c + t) land mask);
+    g := W.((t + (big_sigma0 !hh + maj !hh !a !b)) land mask);
+    let t = W.(!f + ld k j 2 + ld w j 2 + ch !c !d !e + big_sigma1 !c) in
+    b := W.((!b + t) land mask);
+    f := W.((t + (big_sigma0 !g + maj !g !hh !a)) land mask);
+    let t = W.(!e + ld k j 3 + ld w j 3 + ch !b !c !d + big_sigma1 !b) in
+    a := W.((!a + t) land mask);
+    e := W.((t + (big_sigma0 !f + maj !f !g !hh)) land mask);
+    let t = W.(!d + ld k j 4 + ld w j 4 + ch !a !b !c + big_sigma1 !a) in
+    hh := W.((!hh + t) land mask);
+    d := W.((t + (big_sigma0 !e + maj !e !f !g)) land mask);
+    let t = W.(!c + ld k j 5 + ld w j 5 + ch !hh !a !b + big_sigma1 !hh) in
+    g := W.((!g + t) land mask);
+    c := W.((t + (big_sigma0 !d + maj !d !e !f)) land mask);
+    let t = W.(!b + ld k j 6 + ld w j 6 + ch !g !hh !a + big_sigma1 !g) in
+    f := W.((!f + t) land mask);
+    b := W.((t + (big_sigma0 !c + maj !c !d !e)) land mask);
+    let t = W.(!a + ld k j 7 + ld w j 7 + ch !f !g !hh + big_sigma1 !f) in
+    e := W.((!e + t) land mask);
+    a := W.((t + (big_sigma0 !b + maj !b !c !d)) land mask);
+    next := j + 8
   done;
-  h.(0) <- add32 h.(0) !a;
-  h.(1) <- add32 h.(1) !b;
-  h.(2) <- add32 h.(2) !c;
-  h.(3) <- add32 h.(3) !d;
-  h.(4) <- add32 h.(4) !e;
-  h.(5) <- add32 h.(5) !f;
-  h.(6) <- add32 h.(6) !g;
-  h.(7) <- add32 h.(7) !hh
+  h.(0) <- (h.(0) + Int64.to_int !a) land mask;
+  h.(1) <- (h.(1) + Int64.to_int !b) land mask;
+  h.(2) <- (h.(2) + Int64.to_int !c) land mask;
+  h.(3) <- (h.(3) + Int64.to_int !d) land mask;
+  h.(4) <- (h.(4) + Int64.to_int !e) land mask;
+  h.(5) <- (h.(5) + Int64.to_int !f) land mask;
+  h.(6) <- (h.(6) + Int64.to_int !g) land mask;
+  h.(7) <- (h.(7) + Int64.to_int !hh) land mask
 
-let update ctx s =
-  let len = String.length s in
+(* [ctx.buf] is only read as a string for the length of one
+   [compress] call, and not written during it. *)
+let compress_buf ctx = compress ctx (Bytes.unsafe_to_string ctx.buf) 0
+
+let update_sub ctx s off len =
+  if off < 0 || len < 0 || off > String.length s - len then
+    invalid_arg "Sha256.update_sub";
   ctx.total <- ctx.total + len;
-  let pos = ref 0 in
+  let stop = off + len in
+  let pos = ref off in
   (* Top up a partial block first. *)
   if ctx.buf_len > 0 then begin
     let take = min (64 - ctx.buf_len) len in
-    Bytes.blit_string s 0 ctx.buf ctx.buf_len take;
+    Bytes.blit_string s off ctx.buf ctx.buf_len take;
     ctx.buf_len <- ctx.buf_len + take;
-    pos := take;
+    pos := off + take;
     if ctx.buf_len = 64 then begin
-      compress ctx ctx.buf 0;
+      compress_buf ctx;
       ctx.buf_len <- 0
     end
   end;
-  while len - !pos >= 64 do
-    Bytes.blit_string s !pos ctx.buf 0 64;
-    compress ctx ctx.buf 0;
+  (* Whole blocks are read in place. *)
+  while stop - !pos >= 64 do
+    compress ctx s !pos;
     pos := !pos + 64
   done;
-  let rem = len - !pos in
+  let rem = stop - !pos in
   if rem > 0 then begin
     Bytes.blit_string s !pos ctx.buf 0 rem;
     ctx.buf_len <- rem
   end
 
+let update ctx s = update_sub ctx s 0 (String.length s)
+
 let finalize ctx =
-  let bit_len = ctx.total * 8 in
-  let pad_len =
-    let r = (ctx.total + 1) mod 64 in
-    if r <= 56 then 56 - r + 1 else 64 - r + 56 + 1
-  in
-  let pad = Bytes.make (pad_len + 8) '\x00' in
-  Bytes.set pad 0 '\x80';
-  for i = 0 to 7 do
-    Bytes.set pad
-      (pad_len + i)
-      (Char.chr ((bit_len lsr (8 * (7 - i))) land 0xff))
-  done;
-  update ctx (Bytes.to_string pad);
-  assert (ctx.buf_len = 0);
+  let buf = ctx.buf in
+  let n = ctx.buf_len + 1 in
+  Bytes.set buf ctx.buf_len '\x80';
+  (* No room for the 8-byte length: pad out this block and start
+     another. *)
+  if n > 56 then begin
+    Bytes.fill buf n (64 - n) '\x00';
+    compress_buf ctx;
+    Bytes.fill buf 0 56 '\x00'
+  end
+  else Bytes.fill buf n (56 - n) '\x00';
+  Bytes.set_int64_be buf 56 (Int64.of_int (ctx.total * 8));
+  compress_buf ctx;
   let out = Bytes.create 32 in
-  for i = 0 to 7 do
-    let v = ctx.h.(i) in
-    Bytes.set out (i * 4) (Char.chr ((v lsr 24) land 0xff));
-    Bytes.set out ((i * 4) + 1) (Char.chr ((v lsr 16) land 0xff));
-    Bytes.set out ((i * 4) + 2) (Char.chr ((v lsr 8) land 0xff));
-    Bytes.set out ((i * 4) + 3) (Char.chr (v land 0xff))
-  done;
-  Bytes.to_string out
+  Array.iteri
+    (fun i v -> Bytes.set_int32_be out (i * 4) (Int32.of_int v))
+    ctx.h;
+  Bytes.unsafe_to_string out
 
 let digest s =
   let ctx = init () in

@@ -120,9 +120,11 @@ let read_bytes t addr len =
   require_dram t addr len;
   Physmem.read_bytes t.dram (Int64.sub addr dram_base) len
 
-let write_bytes t addr s =
-  require_dram t addr (String.length s);
-  Physmem.write_bytes t.dram (Int64.sub addr dram_base) s
+let write_sub t addr s pos len =
+  require_dram t addr len;
+  Physmem.write_sub t.dram (Int64.sub addr dram_base) s pos len
+
+let write_bytes t addr s = write_sub t addr s 0 (String.length s)
 
 let zero_range t addr len =
   require_dram t addr len;

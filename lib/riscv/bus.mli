@@ -59,6 +59,14 @@ val read_bytes : t -> int64 -> int -> string
 (** Bulk DRAM read (no device access). Raises [Fault] outside DRAM. *)
 
 val write_bytes : t -> int64 -> string -> unit
+(** Bulk DRAM write (no device access). Raises [Fault] outside DRAM. *)
+
+val write_sub : t -> int64 -> string -> int -> int -> unit
+(** [write_sub t addr s pos len] writes bytes [pos .. pos + len - 1] of
+    [s] at [addr] without copying the slice (see {!Physmem.write_sub}).
+    Raises [Fault] when the target range leaves DRAM and
+    [Invalid_argument] when [pos, len] is not a slice of [s]; nothing
+    is written in either case. *)
 
 val zero_range : t -> int64 -> int -> unit
 (** [zero_range t addr len] clears [len] bytes of DRAM without building

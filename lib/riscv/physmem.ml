@@ -87,9 +87,13 @@ let read_bytes t off len =
   read_raw t off buf 0 len;
   Bytes.unsafe_to_string buf
 
-let write_bytes t off s =
-  check t off (String.length s);
-  write_raw t off s 0 (String.length s)
+let write_sub t off s pos len =
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    invalid_arg "Physmem.write_sub: slice outside the string";
+  check t off len;
+  write_raw t off s pos len
+
+let write_bytes t off s = write_sub t off s 0 (String.length s)
 
 let read_u8 t off =
   check t off 1;

@@ -33,6 +33,13 @@ val write_u64 : t -> int64 -> int64 -> unit
 val read_bytes : t -> int64 -> int -> string
 val write_bytes : t -> int64 -> string -> unit
 
+val write_sub : t -> int64 -> string -> int -> int -> unit
+(** [write_sub t off s pos len] stores bytes [pos .. pos + len - 1] of
+    [s] at [off] without copying the slice first, so a caller can load a
+    large string page by page. Raises [Invalid_argument] when
+    [pos, len] is not a slice of [s] or [off, len] is out of range;
+    nothing is written then. *)
+
 val zero_range : t -> int64 -> int64 -> unit
 (** [zero_range t off len] clears a byte range (page scrubbing on
     confidential-VM memory reclamation). Materialised pages in the range

@@ -10,6 +10,7 @@ let mem_size = 4 * Physmem.page_size
 
 type op =
   | Write_bytes of int * string
+  | Write_sub of int * string * int * int
   | Write_u64 of int * int64
   | Write_u8 of int * int
   | Zero_range of int * int
@@ -20,6 +21,9 @@ let show_op = function
   | Write_bytes (o, s) ->
       Printf.sprintf "write_bytes %#x len=%d zero=%b" o (String.length s)
         (String.for_all (( = ) '\x00') s)
+  | Write_sub (o, s, pos, len) ->
+      Printf.sprintf "write_sub %#x pos=%d len=%d of %d" o pos len
+        (String.length s)
   | Write_u64 (o, v) -> Printf.sprintf "write_u64 %#x %Lx" o v
   | Write_u8 (o, v) -> Printf.sprintf "write_u8 %#x %d" o v
   | Zero_range (o, n) -> Printf.sprintf "zero_range %#x %d" o n
@@ -45,6 +49,20 @@ let gen_op =
             string_size ~gen:char (return len);
           ]
         >|= fun s -> Write_bytes (off, s) );
+      ( 2,
+        (* a slice of a larger string whose bytes outside the slice are
+           non-zero, so a write past either end would show *)
+        span 5000 >>= fun (off, len) ->
+        triple
+          (oneof
+             [
+               return (String.make len '\x00');
+               string_size ~gen:char (return len);
+             ])
+          (int_range 0 64) (int_range 0 64)
+        >|= fun (s, pos, tail) ->
+        let host = String.make pos 'J' ^ s ^ String.make tail 'J' in
+        Write_sub (off, host, pos, len) );
       ( 3,
         pair (int_range 0 (mem_size - 8)) word >|= fun (o, v) ->
         Write_u64 (o, v) );
@@ -89,6 +107,11 @@ let differential ops =
         Bytes.blit_string s 0 model off (String.length s);
         note_write off s;
         true
+    | Write_sub (off, s, pos, len) ->
+        Physmem.write_sub m (Int64.of_int off) s pos len;
+        Bytes.blit_string s pos model off len;
+        note_write off (String.sub s pos len);
+        true
     | Write_u64 (off, v) ->
         Physmem.write_u64 m (Int64.of_int off) v;
         Bytes.blit_string (le8 v) 0 model off 8;
@@ -125,6 +148,9 @@ let physmem_props =
          QCheck.Gen.(list_size (int_range 1 40) gen_op))
       differential;
   ]
+
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
 
 let physmem_tests =
   [
@@ -173,6 +199,37 @@ let physmem_tests =
           (match Bus.zero_range bus 0x8000_F000L 8192 with
           | () -> false
           | exception Bus.Fault _ -> true));
+    Alcotest.test_case "write_sub rejects bad slices and writes nothing"
+      `Quick (fun () ->
+        let bus = Bus.create ~dram_size:0x10000L ~nharts:1 in
+        let m = Bus.dram bus in
+        List.iter
+          (fun (pos, len) ->
+            Alcotest.(check bool)
+              (Printf.sprintf "Physmem slice %d+%d" pos len)
+              true
+              (raises_invalid (fun () ->
+                   Physmem.write_sub m 0x1000L "abcdefgh" pos len));
+            Alcotest.(check bool)
+              (Printf.sprintf "Bus slice %d+%d" pos len)
+              true
+              (raises_invalid (fun () ->
+                   Bus.write_sub bus 0x8000_1000L "abcdefgh" pos len)))
+          [ (-1, 2); (0, -1); (7, 2); (9, 0) ];
+        Alcotest.(check bool)
+          "past the end of memory" true
+          (raises_invalid (fun () ->
+               Physmem.write_sub m 0xFFFCL "abcdefgh" 0 8));
+        Alcotest.(check bool)
+          "past DRAM faults" true
+          (match Bus.write_sub bus 0x8000_FFFCL "abcdefgh" 0 8 with
+          | () -> false
+          | exception Bus.Fault _ -> true);
+        Alcotest.(check int) "nothing written" 0 (Physmem.allocated_pages m);
+        Bus.write_sub bus 0x8000_1FFEL "abcdefgh" 2 4;
+        Alcotest.(check string)
+          "slice lands across the page boundary" "cdef"
+          (Bus.read_bytes bus 0x8000_1FFEL 4));
   ]
 
 (* ---------- Virtio_blk sparse disk ---------- *)
@@ -192,9 +249,6 @@ let make_blk () =
   (bus, blk)
 
 let pattern n = String.init n (fun i -> Char.chr (1 + (i * 7 mod 251)))
-
-let raises_invalid f =
-  match f () with _ -> false | exception Invalid_argument _ -> true
 
 let blk_tests =
   let open Hypervisor in

@@ -42,7 +42,101 @@ let sha256_tests =
               whole
               (Crypto.Sha256.to_hex (Crypto.Sha256.finalize ctx)))
           [ 0; 1; 55; 56; 63; 64; 65; 128; 200; 300 ]);
+    Alcotest.test_case "padding edges match the reference" `Quick (fun () ->
+        (* Lengths either side of the one-block (55/56) and block-size
+           (63/64/65) padding boundaries, one and two blocks in. *)
+        List.iter
+          (fun len ->
+            let msg = String.init len (fun i -> Char.chr ((i * 7) land 0xff)) in
+            let ctx = Crypto.Sha256.init () in
+            String.iter
+              (fun c -> Crypto.Sha256.update ctx (String.make 1 c))
+              msg;
+            let expected = Sha256_ref.hex msg in
+            check_hex (Printf.sprintf "one-shot %d" len) expected
+              (Crypto.Sha256.hex msg);
+            check_hex
+              (Printf.sprintf "bytewise %d" len)
+              expected
+              (Crypto.Sha256.to_hex (Crypto.Sha256.finalize ctx)))
+          [ 0; 55; 56; 63; 64; 65; 119; 120; 127; 128; 129 ]);
+    Alcotest.test_case "update_sub rejects slices outside the string" `Quick
+      (fun () ->
+        let ctx = Crypto.Sha256.init () in
+        List.iter
+          (fun (off, len) ->
+            match Crypto.Sha256.update_sub ctx "abcdefgh" off len with
+            | () -> Alcotest.failf "slice %d+%d accepted" off len
+            | exception Invalid_argument _ -> ())
+          [ (-1, 2); (0, -1); (7, 2); (9, 0); (0, max_int) ];
+        check_hex "context untouched"
+          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+          (Crypto.Sha256.to_hex (Crypto.Sha256.finalize ctx)));
+    Alcotest.test_case "hashing allocates nothing per block" `Quick
+      (fun () ->
+        (* The rounds keep their 64-bit words in unboxed locals; a word
+           that got boxed would cost heap on every round. *)
+        let msg = String.make 65536 'x' in
+        let ctx = Crypto.Sha256.init () in
+        Crypto.Sha256.update ctx msg;
+        let before = Gc.minor_words () in
+        Crypto.Sha256.update_sub ctx msg 1 65534;
+        let words = Gc.minor_words () -. before in
+        if words > 64. then
+          Alcotest.failf "%.0f heap words for 1,024 blocks" words);
   ]
+
+(* The word-at-a-time kernel against the frozen byte-at-a-time one, on
+   messages up to 20 KiB fed in arbitrary pieces. *)
+let gen_msg = QCheck.Gen.(string_size ~gen:char (int_range 0 20480))
+
+let print_msg (msg, _) = Printf.sprintf "<%d-byte message>" (String.length msg)
+
+let sha256_split_prop =
+  QCheck.Test.make ~name:"sha256 = reference for any split of the input"
+    ~count:150
+    (QCheck.make ~print:print_msg
+       QCheck.Gen.(
+         pair gen_msg (list_size (int_range 0 8) (int_range 0 20480))))
+    (fun (msg, cuts) ->
+      let n = String.length msg in
+      let cuts =
+        List.sort_uniq compare (List.map (fun c -> c mod (n + 1)) cuts)
+      in
+      let ctx = Crypto.Sha256.init () in
+      let last =
+        List.fold_left
+          (fun pos cut ->
+            Crypto.Sha256.update ctx (String.sub msg pos (cut - pos));
+            cut)
+          0 cuts
+      in
+      Crypto.Sha256.update ctx (String.sub msg last (n - last));
+      Crypto.Sha256.finalize ctx = Sha256_ref.digest msg)
+
+let sha256_slice_prop =
+  QCheck.Test.make ~name:"sha256 update_sub = reference on a slice"
+    ~count:150
+    (QCheck.make ~print:print_msg
+       QCheck.Gen.(
+         pair gen_msg
+           (triple (int_range 0 200) (int_range 0 200) (int_range 0 9))))
+    (fun (msg, (before, after, pieces)) ->
+      (* [msg] embedded at an arbitrary offset of a larger string and
+         fed as [pieces + 1] consecutive slices of it. *)
+      let n = String.length msg in
+      let host = String.make before 'L' ^ msg ^ String.make after 'R' in
+      let ctx = Crypto.Sha256.init () in
+      let step = (n / (pieces + 1)) + 1 in
+      let rec feed pos =
+        if pos < n then begin
+          let len = min step (n - pos) in
+          Crypto.Sha256.update_sub ctx host (before + pos) len;
+          feed (pos + len)
+        end
+      in
+      feed 0;
+      Crypto.Sha256.finalize ctx = Sha256_ref.digest msg)
 
 let sha512_tests =
   [
@@ -201,6 +295,8 @@ let suite =
     ("crypto.aes", aes_tests);
     ("crypto.norx", norx_tests);
     ( "crypto.properties",
-      List.map QCheck_alcotest.to_alcotest [ norx_roundtrip_prop; aes_cbc_prop ]
+      List.map QCheck_alcotest.to_alcotest
+        [ sha256_split_prop; sha256_slice_prop; norx_roundtrip_prop;
+          aes_cbc_prop ]
     );
   ]

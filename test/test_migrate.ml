@@ -92,6 +92,23 @@ let format_tests =
               true
               (Result.is_error (Zion.Migrate.unseal (Bytes.to_string b))))
           [ 30; String.length blob / 2; String.length blob - 1 ]);
+    Alcotest.test_case "a rewritten payload length is rejected" `Quick
+      (fun () ->
+        (* Bytes 5..8 hold the payload length. The sample payload leaves
+           8 bytes of cipher padding, so a length raised by up to 8
+           still parses unless the tag covers the field. *)
+        let blob = Bytes.of_string (Zion.Migrate.seal (sample_image ())) in
+        let len = Int32.to_int (Bytes.get_int32_le blob 5) in
+        Alcotest.(check int) "padding to grow into" 8 (16 - (len mod 16));
+        List.iter
+          (fun delta ->
+            let b = Bytes.copy blob in
+            Bytes.set_int32_le b 5 (Int32.of_int (len + delta));
+            Alcotest.(check bool)
+              (Printf.sprintf "length %+d" delta)
+              true
+              (Result.is_error (Zion.Migrate.unseal (Bytes.to_string b))))
+          [ 1; 8; -1 ]);
     Alcotest.test_case "truncation is rejected" `Quick (fun () ->
         let blob = Zion.Migrate.seal (sample_image ()) in
         Alcotest.(check bool)

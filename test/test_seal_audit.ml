@@ -77,6 +77,19 @@ let seal_prim_tests =
           "rejected" true
           (Result.is_error
              (Zion.Attest.unseal_data ~measurement:m (Bytes.to_string blob))));
+    Alcotest.test_case "a rewritten length field is detected" `Quick
+      (fun () ->
+        (* Bytes 5..8 hold the plaintext length. Shortening it must not
+           make the host's copy unseal to a prefix of the secret. *)
+        let m = Crypto.Sha256.digest "image" in
+        let blob =
+          Bytes.of_string (Zion.Attest.seal_data ~measurement:m "top secret")
+        in
+        Bytes.set_int32_le blob 5 3l;
+        Alcotest.(check bool)
+          "rejected" true
+          (Result.is_error
+             (Zion.Attest.unseal_data ~measurement:m (Bytes.to_string blob))));
   ]
 
 (* ---------- guest-level sealing ---------- *)

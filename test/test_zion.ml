@@ -300,6 +300,38 @@ let attest_tests =
           (Crypto.Sha256.to_hex
              (Zion.Attest.hmac_sha256 ~key:"Jefe"
                 "what do ya want for nothing?")));
+    Alcotest.test_case "HMAC matches RFC 4231 test cases 1, 3, 4, 6 and 7"
+      `Quick (fun () ->
+        (* Cases 6 and 7 use a 131-byte key, longer than the 64-byte
+           block, so HMAC hashes the key first. *)
+        let big_key = String.make 131 '\xaa' in
+        List.iter
+          (fun (name, key, msg, expected) ->
+            Alcotest.(check string)
+              name expected
+              (Crypto.Sha256.to_hex (Zion.Attest.hmac_sha256 ~key msg)))
+          [
+            ( "case 1", String.make 20 '\x0b', "Hi There",
+              "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
+            );
+            ( "case 3", String.make 20 '\xaa', String.make 50 '\xdd',
+              "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
+            );
+            ( "case 4", String.init 25 (fun i -> Char.chr (i + 1)),
+              String.make 50 '\xcd',
+              "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"
+            );
+            ( "case 6", big_key,
+              "Test Using Larger Than Block-Size Key - Hash Key First",
+              "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
+            );
+            ( "case 7", big_key,
+              "This is a test using a larger than block-size key and a \
+               larger than block-size data. The key needs to be hashed \
+               before being used by the HMAC algorithm.",
+              "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"
+            );
+          ]);
     Alcotest.test_case "measurement distinguishes images and load addresses"
       `Quick (fun () ->
         let m1 = Zion.Attest.start () in
