@@ -1532,6 +1532,22 @@ let sim_cmd =
                   else "DIVERGED");
                ])
              results);
+        Metrics.Table.print
+          ~header:
+            [ "workload"; "decode fills"; "revalidations"; "evictions";
+              "fetch memo hits"; "load memo hits"; "store memo hits" ]
+          (List.map
+             (fun (r : Platform.Exp_sim.ab) ->
+               let st = r.Platform.Exp_sim.fast_stats in
+               Platform.Exp_sim.name r.Platform.Exp_sim.workload
+               :: List.map string_of_int
+                    [
+                      st.Riscv.Hart.decode_fills; st.Riscv.Hart.revalidations;
+                      st.Riscv.Hart.evictions; st.Riscv.Hart.fetch_memo_hits;
+                      st.Riscv.Hart.load_memo_hits;
+                      st.Riscv.Hart.store_memo_hits;
+                    ])
+             results);
         (match json with
         | Some path ->
             Platform.Exp_sim.write_json path ~steps results;

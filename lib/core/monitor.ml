@@ -217,6 +217,9 @@ let enable_profiler ?interval t =
           Metrics.Profile.create ?interval
             ~nharts:(Array.length t.machine.Machine.harts) ()
         in
+        Array.iter
+          (fun h -> h.Hart.sample_in <- Metrics.Profile.interval p)
+          t.machine.Machine.harts;
         t.profiler <- Some p;
         p
   in
@@ -660,6 +663,10 @@ let register_secure_region_impl t ~base ~size =
   let last = Int64.add base (Int64.sub size 1L) in
   if not (Bus.in_dram bus base && Bus.in_dram bus last) then
     Error Ecall.Invalid_param
+  (* Refuse what PMP cannot guard before anything is linked: a region
+     linked and then rejected would sit in the pool, open to HS. *)
+  else if not (Pmp_guard.admits t.sm ~base ~size) then
+    Error Ecall.Invalid_param
   else begin
     let jr = Journal.append t.journal (Journal.Op_expand { base; size }) in
     match Secmem.register_region t.sm ~base ~size with
@@ -668,37 +675,30 @@ let register_secure_region_impl t ~base ~size =
         Error Ecall.Invalid_param
     | Ok blocks ->
         Journal.checkpoint t.journal jr "linked";
-        (match
-           let synced = ref 0 in
-           Array.iter
-             (fun hart ->
-               if Pmp_guard.sync_hart t.guard hart t.sm ~cvm_open:false
-               then incr synced)
-             t.machine.Machine.harts;
-           !synced
-         with
-        | synced ->
-            let nharts = Array.length t.machine.Machine.harts in
-            Pmp_guard.guard_iopmp t.guard (Bus.iopmp bus) t.sm;
-            (* Per-hart PMP resync + IOPMP programming + the mandatory
-               global fence on every hart (the paper keeps region
-               registration a full-flush point). Charged per hart so
-               the ledger agrees with the registry's flush count. *)
-            charge t "sm_region_setup"
-              ((synced * t.cost.Cost.pmp_toggle) + t.cost.Cost.pmp_toggle
-              + (nharts * t.cost.Cost.tlb_full_flush));
-            Array.iter
-              (fun hart ->
-                Tlb.flush_all hart.Hart.tlb;
-                Hart.invalidate_fast_path hart)
-              t.machine.Machine.harts;
-            if obs t then
-              Metrics.Registry.inc t.registry ~by:nharts "tlb.full_flush";
-            Journal.mark_done t.journal jr;
-            Ok blocks
-        | exception Invalid_argument _ ->
-            Journal.mark_done t.journal jr;
-            Error Ecall.Invalid_param)
+        let synced = ref 0 in
+        Array.iter
+          (fun hart ->
+            if Pmp_guard.sync_hart t.guard hart t.sm ~cvm_open:false then
+              incr synced)
+          t.machine.Machine.harts;
+        let nharts = Array.length t.machine.Machine.harts in
+        Pmp_guard.guard_iopmp t.guard (Bus.iopmp bus) t.sm;
+        (* Per-hart PMP resync + IOPMP programming + the mandatory
+           global fence on every hart (the paper keeps region
+           registration a full-flush point). Charged per hart so the
+           ledger agrees with the registry's flush count. *)
+        charge t "sm_region_setup"
+          ((!synced * t.cost.Cost.pmp_toggle) + t.cost.Cost.pmp_toggle
+          + (nharts * t.cost.Cost.tlb_full_flush));
+        Array.iter
+          (fun hart ->
+            Tlb.flush_all hart.Hart.tlb;
+            Hart.invalidate_fast_path hart)
+          t.machine.Machine.harts;
+        if obs t then
+          Metrics.Registry.inc t.registry ~by:nharts "tlb.full_flush";
+        Journal.mark_done t.journal jr;
+        Ok blocks
   end
 
 let register_secure_region t ~base ~size =
@@ -2147,7 +2147,6 @@ let world_switch_out t hart_id cvm vcpu_idx ~mmio_kind =
     if t.cfg.tlb_retention then false
     else begin
       Tlb.flush_all hart.Hart.tlb;
-      Hart.invalidate_fast_path hart;
       true
     end
   in
@@ -2331,7 +2330,6 @@ let run_vcpu t ~hart:hart_id ~cvm:id ~vcpu:vcpu_idx ~max_steps =
                 if t.cfg.tlb_retention then false
                 else begin
                   Tlb.flush_all hart.Hart.tlb;
-                  Hart.invalidate_fast_path hart;
                   true
                 end
               in

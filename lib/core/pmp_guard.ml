@@ -41,13 +41,16 @@ let backdrop_entry = 15
 
 let is_pow2 v = Int64.logand v (Int64.sub v 1L) = 0L && v > 0L
 
-(* A pool region must be NAPOT-encodable (power-of-two sized and
-   size-aligned); the monitor's registration path enforces this. *)
-let check_region (base, size) =
-  if not (is_pow2 size) then
-    invalid_arg "Pmp_guard: region size must be a power of two";
-  if Int64.rem base size <> 0L then
-    invalid_arg "Pmp_guard: region base must be size-aligned"
+(* A pool region must be NAPOT-encodable: power-of-two sized and
+   size-aligned. *)
+let napot (base, size) = is_pow2 size && Int64.rem base size = 0L
+
+let admits secmem ~base ~size =
+  napot (base, size) && List.length (Secmem.regions secmem) < max_regions
+
+let check_region r =
+  if not (napot r) then
+    invalid_arg "Pmp_guard: region is not NAPOT-encodable"
 
 (* A hart is current when its entries were written at the live region
    epoch and already grant the wanted world. *)

@@ -29,6 +29,12 @@ val max_regions : int
 (** Pool regions representable before PMP entries run out (14: entry 15
     is the backdrop and entry 14 is kept in reserve for firmware). *)
 
+val admits : Secmem.t -> base:int64 -> size:int64 -> bool
+(** Whether the pool can take the region [\[base, base+size)] and still
+    be programmed by [sync_hart]: the region is NAPOT-encodable
+    (power-of-two sized and size-aligned) and the pool stays within
+    [max_regions]. The monitor checks this before it links a region. *)
+
 val sync_hart : t -> Riscv.Hart.t -> Secmem.t -> cvm_open:bool -> bool
 (** Program all pool regions into the hart's PMP, with permissions
     according to [cvm_open], plus the backdrop entry. Returns whether

@@ -186,18 +186,69 @@ let fuzz_session w =
   | 2 -> ""
   | _ -> fuzz_string w
 
-(* One randomized call against a randomly chosen host-interface fid.
-   register_secure_region only ever sees invalid arguments here: a
-   randomly *valid* donation would hand the SM memory the host still
-   uses, which is self-sabotage rather than an attack on the SM. *)
+(* Secure-region registrations the SM must refuse without linking
+   anything; the next audit catches a refused region left in the pool.
+   A randomly *valid* donation would hand the SM memory the host still
+   uses, which is self-sabotage rather than an attack on the SM, so
+   every probe here is invalid:
+   - a base that is never block-aligned;
+   - a block-aligned run of blocks that PMP cannot encode (not a power
+     of two, or not aligned to its size);
+   - a NAPOT region while the pool already holds
+     [Pmp_guard.max_regions] regions. The fuzzer first fills the PMP
+     entries with honest one-block donations carved from host memory,
+     as a host exhausting them would. *)
+let fuzz_region w =
+  let mon = w.mon in
+  let register ~base ~size =
+    call w (fun () -> Zion.Monitor.register_secure_region mon ~base ~size)
+  in
+  let sm = Zion.Monitor.secmem mon in
+  let block = Zion.Secmem.block_size sm in
+  let pages = Int64.to_int (Int64.div block 4096L) in
+  let host_block () =
+    Host_mem.alloc_pages (Kvm.host_mem w.kvm) ~align:block pages
+  in
+  match rand_int w.r 3 with
+  | 0 ->
+      let base = Int64.logor (fuzz_addr w) 1L (* never block-aligned *) in
+      register ~base ~size:(fuzz_addr w)
+  | 1 ->
+      let blocks =
+        Int64.to_int (Int64.div (Bus.dram_size w.machine.Machine.bus) block)
+      in
+      let nth i = Int64.add Bus.dram_base (Int64.mul (Int64.of_int i) block) in
+      if rand_int w.r 2 = 0 then
+        (* 3, 5 or 7 blocks: never a power of two *)
+        register ~base:(nth (rand_int w.r (blocks - 8)))
+          ~size:(Int64.mul (Int64.of_int (3 + (2 * rand_int w.r 3))) block)
+      else
+        (* two blocks at an odd block index: not size-aligned *)
+        register
+          ~base:(nth ((2 * rand_int w.r ((blocks / 2) - 1)) + 1))
+          ~size:(Int64.mul 2L block)
+  | _ ->
+      let rec fill n =
+        if n > 0 then
+          match host_block () with
+          | Some base ->
+              register ~base ~size:block;
+              fill (n - 1)
+          | None -> ()
+      in
+      fill (Zion.Pmp_guard.max_regions - List.length (Zion.Secmem.regions sm));
+      Option.iter
+        (fun base ->
+          register ~base ~size:block;
+          if not (List.mem (base, block) (Zion.Secmem.regions sm)) then
+            Host_mem.free_pages (Kvm.host_mem w.kvm) base pages)
+        (host_block ())
+
+(* One randomized call against a randomly chosen host-interface fid. *)
 let fuzz_ecall w =
   let mon = w.mon in
   match rand_int w.r 15 with
-  | 0 ->
-      let base = Int64.logor (fuzz_addr w) 1L (* never block-aligned *) in
-      call w (fun () ->
-          Zion.Monitor.register_secure_region mon ~base
-            ~size:(fuzz_addr w))
+  | 0 -> fuzz_region w
   | 1 -> (
       let nvcpus = rand_int w.r 200 - 50 and entry_pc = fuzz_addr w in
       match Zion.Monitor.create_cvm mon ~nvcpus ~entry_pc with

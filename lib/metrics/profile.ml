@@ -34,37 +34,43 @@ let interval t = t.ival
 
 let page_of pc = Int64.logand pc (Int64.lognot 0xFFFL)
 
-(* The non-expiry path — decrement, compare, store — runs once per
-   retired instruction and must not allocate.  The expiry path first
-   tries the per-hart last-bucket memo (an int compare, an Int64
-   compare and an incr); the tuple key and hashtable only get touched
-   when the sampled page actually changes. *)
+(* One hit for [pc]'s page. It first tries the per-hart last-bucket
+   memo (an int compare, an Int64 compare and an incr); the tuple key
+   and hashtable only get touched when the sampled page actually
+   changes. *)
+let record t ~hart ~pc =
+  if hart >= 0 && hart < Array.length t.context then begin
+    let cvm = t.context.(hart) in
+    let page = page_of pc in
+    if cvm = t.last_cvm.(hart) && Int64.equal page t.last_page.(hart) then
+      incr t.last_count.(hart)
+    else begin
+      let r =
+        let key = (cvm, page) in
+        match Hashtbl.find_opt t.hits key with
+        | Some r -> r
+        | None ->
+            let r = ref 0 in
+            Hashtbl.add t.hits key r;
+            r
+      in
+      incr r;
+      t.last_cvm.(hart) <- cvm;
+      t.last_page.(hart) <- page;
+      t.last_count.(hart) <- r
+    end;
+    t.total <- t.total + 1
+  end
+
+(* The non-expiry path — decrement, compare, store — must not
+   allocate. *)
 let sample t ~hart ~pc =
   if hart >= 0 && hart < Array.length t.countdown then begin
     let c = t.countdown.(hart) - 1 in
     if c > 0 then t.countdown.(hart) <- c
     else begin
       t.countdown.(hart) <- t.ival;
-      let cvm = t.context.(hart) in
-      let page = page_of pc in
-      if cvm = t.last_cvm.(hart) && Int64.equal page t.last_page.(hart) then
-        incr t.last_count.(hart)
-      else begin
-        let r =
-          let key = (cvm, page) in
-          match Hashtbl.find_opt t.hits key with
-          | Some r -> r
-          | None ->
-              let r = ref 0 in
-              Hashtbl.add t.hits key r;
-              r
-        in
-        incr r;
-        t.last_cvm.(hart) <- cvm;
-        t.last_page.(hart) <- page;
-        t.last_count.(hart) <- r
-      end;
-      t.total <- t.total + 1
+      record t ~hart ~pc
     end
   end
 

@@ -4,7 +4,8 @@
     instructions per hart, bucketing hits by (owning CVM, 4 KiB code
     page). The sampler lives on the interpreter's hot path behind a
     single branch (like [Trace.is_enabled]): the common non-sample
-    path is a decrement, a compare and a store — no allocation.
+    path is a decrement, a compare and a store on the hart — no call
+    and no allocation.
 
     Sampling happens on the Secure-Monitor side of the trust
     boundary: the SM can observe guest PCs, and deployments must
@@ -26,9 +27,13 @@ val create : ?interval:int -> nharts:int -> unit -> t
 val interval : t -> int
 
 val sample : t -> hart:int -> pc:int64 -> unit
-(** Hot-path hook: called once per retired instruction by the
-    interpreter. Counts down; on expiry records one hit for [pc]'s
-    page under the hart's current CVM context. *)
+(** Count down [hart]'s interval; on expiry, [record] [pc]. *)
+
+val record : t -> hart:int -> pc:int64 -> unit
+(** Record one hit for [pc]'s page under the hart's current CVM
+    context. The interpreter keeps each hart's countdown on the hart
+    ([Riscv.Hart.sample_in]) and calls this only on expiry, so a
+    retired instruction costs no call into this module. *)
 
 val set_context : t -> hart:int -> cvm:int -> unit
 (** Attribute subsequent samples on [hart] to [cvm] ([-1] = host).
@@ -54,5 +59,6 @@ val pp : Format.formatter -> t -> unit
 (** Human-readable hot-pages table. *)
 
 val reset : t -> unit
-(** Zero all buckets and per-hart countdowns; keeps interval,
-    contexts and regions. *)
+(** Zero all buckets and the per-hart countdowns of [sample]; keeps
+    interval, contexts and regions. The interpreter's countdowns live on
+    the harts and are not reset. *)

@@ -97,7 +97,12 @@ type state = {
   minstret : int64;
 }
 
-type run = { executed : int; seconds : float; state : state }
+type run = {
+  executed : int;
+  seconds : float;
+  state : state;
+  stats : Riscv.Hart.fast_path_stats;
+}
 
 (* One measured run: fresh machine, workload installed, [steps]
    architectural steps. Paged workloads run in HS mode under an Sv39
@@ -153,6 +158,7 @@ let run workload ~fast ~steps =
         pc = hart.Hart.pc;
         minstret = hart.Hart.csr.Csr.minstret;
       };
+    stats = Hart.fast_path_stats hart;
   }
 
 type ab = {
@@ -161,6 +167,7 @@ type ab = {
   fast_ips : float;
   speedup : float;
   identical : bool;
+  fast_stats : Riscv.Hart.fast_path_stats;
 }
 
 let ab_compare workload ~steps =
@@ -175,6 +182,7 @@ let ab_compare workload ~steps =
     fast_ips;
     speedup = fast_ips /. baseline_ips;
     identical = slow.state = fast.state;
+    fast_stats = fast.stats;
   }
 
 let write_json path ~steps results =
@@ -182,10 +190,17 @@ let write_json path ~steps results =
   Printf.fprintf oc "{\n  \"steps_per_run\": %d,\n  \"workloads\": [\n" steps;
   List.iteri
     (fun i r ->
+      let st = r.fast_stats in
       Printf.fprintf oc
         "    {\"name\": \"%s\", \"baseline_ips\": %.0f, \"fast_ips\": %.0f, \
-         \"speedup\": %.3f, \"identical\": %b}%s\n"
+         \"speedup\": %.3f, \"identical\": %b,\n\
+        \     \"fast_path\": {\"decode_fills\": %d, \"revalidations\": %d, \
+         \"evictions\": %d, \"fetch_memo_hits\": %d, \"load_memo_hits\": %d, \
+         \"store_memo_hits\": %d}}%s\n"
         (name r.workload) r.baseline_ips r.fast_ips r.speedup r.identical
+        st.Riscv.Hart.decode_fills st.Riscv.Hart.revalidations
+        st.Riscv.Hart.evictions st.Riscv.Hart.fetch_memo_hits
+        st.Riscv.Hart.load_memo_hits st.Riscv.Hart.store_memo_hits
         (if i = List.length results - 1 then "" else ","))
     results;
   Printf.fprintf oc "  ]\n}\n";

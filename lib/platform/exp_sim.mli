@@ -26,7 +26,14 @@ type state = {
 (** Everything architecturally visible after a run, including the full
     cycle-ledger attribution. Compared structurally between arms. *)
 
-type run = { executed : int; seconds : float; state : state }
+type run = {
+  executed : int;
+  seconds : float;
+  state : state;
+  stats : Riscv.Hart.fast_path_stats;
+      (** the hart's fast-path counters at the end of the run (all zero
+          with the fast path off) *)
+}
 
 val run : workload -> fast:bool -> steps:int -> run
 (** One measured run on a fresh single-hart machine. *)
@@ -37,10 +44,13 @@ type ab = {
   fast_ips : float;
   speedup : float;
   identical : bool;  (** [state] equal between the two arms *)
+  fast_stats : Riscv.Hart.fast_path_stats;  (** the fast arm's counters *)
 }
 
 val ab_compare : workload -> steps:int -> ab
 (** Run [workload] with the fast path off then on; compare. *)
 
 val write_json : string -> steps:int -> ab list -> unit
-(** Emit the BENCH_sim.json shape CI gates on. *)
+(** Emit the BENCH_sim.json shape CI gates on: per workload the two
+    rates, the speedup, the identity flag and the fast arm's counters
+    under ["fast_path"]. *)

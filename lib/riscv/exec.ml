@@ -464,7 +464,12 @@ let step (hart : Hart.t) =
               (match !profile with
               | None -> ()
               | Some p ->
-                  Metrics.Profile.sample p ~hart:hart.Hart.id ~pc:pc_before)
+                  let left = hart.Hart.sample_in - 1 in
+                  if left > 0 then hart.Hart.sample_in <- left
+                  else begin
+                    hart.Hart.sample_in <- Metrics.Profile.interval p;
+                    Metrics.Profile.record p ~hart:hart.Hart.id ~pc:pc_before
+                  end)
             with Hart.Trap_exn (e, tval, tval2) ->
               hart.Hart.pc <- pc_before;
               Trap.take hart (Cause.Exception e) ~tval ~tval2

@@ -25,7 +25,9 @@ val trace : bool ref
 
 val profile : Metrics.Profile.t option ref
 (** PC-sampling profiler hook. [None] (the default) costs one branch
-    per retired instruction; when set, every retired instruction's pc
-    is offered to [Metrics.Profile.sample], which counts down and
-    buckets one sample per interval. Installed/removed by
-    [Monitor.enable_profiler]/[disable_profiler]. *)
+    per retired instruction; when set, every retired instruction counts
+    down the hart's [Hart.sample_in], and each expiry passes the pc to
+    [Metrics.Profile.record] and re-arms the countdown with the
+    profile's interval. Installed/removed by
+    [Monitor.enable_profiler]/[disable_profiler], which arms the harts
+    of its machine when it installs a new profile. *)

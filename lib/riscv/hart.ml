@@ -1,14 +1,19 @@
 exception Trap_exn of Cause.exception_t * int64 * int64
 
-(* One decoded-instruction cache page: the pre-decoded words of one
+(* Marks a decode-cache slot that holds no word yet. Its raw value is
+   not a 32-bit word, so it never equals a fetched one; slots are
+   compared with it physically. *)
+let no_word : int64 * Decode.t = (-1L, Decode.Illegal (-1L))
+
+(* One decoded-instruction cache way: the pre-decoded words of one
    physical page, validated against the backing page's write
-   generation. A stale generation clears the slots; the handle itself
-   stays valid for the life of the machine. *)
+   generation. A stale generation clears the slots; a page that evicts
+   the way takes it over, slot array included. *)
 type dpage = {
-  dp_pa_page : int64;
-  dp_phys : Physmem.page;
+  mutable dp_pa_page : int64;
+  mutable dp_phys : Physmem.page;
   mutable dp_gen : int;
-  dp_slots : (int64 * Decode.t) option array; (* one per 4-byte slot *)
+  dp_slots : (int64 * Decode.t) array; (* one per 4-byte slot *)
 }
 
 (* One translation memo: the last translated page for one access kind
@@ -29,6 +34,7 @@ type amemo = {
   mutable am_pa_page : int64;
   mutable am_counts_hit : bool;
       (* whether the uncached path would have counted a TLB hit *)
+  mutable am_hits : int;
 }
 
 (* Fast-path state. Everything here is a memo over architectural state
@@ -42,6 +48,9 @@ type fastpath = {
   lm : amemo; (* load translations *)
   sm : amemo; (* store/AMO translations *)
   dcache : dpage option array; (* direct-mapped by PA page *)
+  (* Direct-mapped by raw word: the (raw, decoded) pair every cached
+     slot holding that word shares. Empty until the first fill. *)
+  mutable words : (int64 * Decode.t) array;
   (* CLINT poll memo, maintained by [Exec.step]: the next mtime at
      which the pending state can change, plus the mip bits and CLINT
      generation it was computed from. *)
@@ -50,10 +59,16 @@ type fastpath = {
   mutable cl_last_time : int64;
   mutable cl_mtip : bool;
   mutable cl_msip : bool;
+  (* Health counters, read through [fast_path_stats]. *)
+  mutable st_fills : int;
+  mutable st_revalidations : int;
+  mutable st_evictions : int;
 }
 
 let dcache_ways = 64
 let dcache_slots = 4096 / 4
+let word_table_bits = 11
+let word_table_size = 1 lsl word_table_bits
 let fast_path_default = ref true
 
 let fresh_amemo () =
@@ -68,6 +83,7 @@ let fresh_amemo () =
     am_tlb = 0;
     am_pa_page = 0L;
     am_counts_hit = false;
+    am_hits = 0;
   }
 
 let fresh_fastpath () =
@@ -77,12 +93,25 @@ let fresh_fastpath () =
     lm = fresh_amemo ();
     sm = fresh_amemo ();
     dcache = Array.make dcache_ways None;
+    words = [||];
     cl_gen = -1;
     cl_poll_at = 0L;
     cl_last_time = 0L;
     cl_mtip = false;
     cl_msip = false;
+    st_fills = 0;
+    st_revalidations = 0;
+    st_evictions = 0;
   }
+
+type fast_path_stats = {
+  decode_fills : int;
+  revalidations : int;
+  evictions : int;
+  fetch_memo_hits : int;
+  load_memo_hits : int;
+  store_memo_hits : int;
+}
 
 (* Pre-resolved ledger counters for the per-instruction categories:
    ticking one is observably identical to [Ledger.charge] with the
@@ -113,6 +142,7 @@ type t = {
   cost : Cost.t;
   mutable reservation : int64 option;
   mutable wfi_stalled : bool;
+  mutable sample_in : int;
   fp : fastpath;
   cnt : exec_counters;
 }
@@ -134,6 +164,7 @@ let create ?(cost = Cost.default) ?ledger ~id bus =
     cost;
     reservation = None;
     wfi_stalled = false;
+    sample_in = 0;
     fp = fresh_fastpath ();
     cnt =
       {
@@ -160,6 +191,17 @@ let invalidate_fast_path t =
 
 let flush_decode_cache t = Array.fill t.fp.dcache 0 dcache_ways None
 let fast_path_enabled t = t.fp.fp_enabled
+
+let fast_path_stats t =
+  let fp = t.fp in
+  {
+    decode_fills = fp.st_fills;
+    revalidations = fp.st_revalidations;
+    evictions = fp.st_evictions;
+    fetch_memo_hits = fp.fm.am_hits;
+    load_memo_hits = fp.lm.am_hits;
+    store_memo_hits = fp.sm.am_hits;
+  }
 
 let set_fast_path t on =
   t.fp.fp_enabled <- on;
@@ -389,6 +431,7 @@ let memo_arm t (m : amemo) access va pa counts_hit =
 
 let translate_memo t (m : amemo) access va len =
   if t.fp.fp_enabled && memo_hit t m va then begin
+    m.am_hits <- m.am_hits + 1;
     if m.am_counts_hit then Tlb.count_hit t.tlb;
     Int64.logor m.am_pa_page (Int64.logand va 0xFFFL)
   end
@@ -435,6 +478,24 @@ let fetch t =
   | exception Bus.Fault _ ->
       raise (Trap_exn (Cause.Instr_access_fault, t.pc, 0L))
 
+(* The (raw, decoded) pair for [raw], shared through the word table:
+   an instruction word that recurs across cached slots and pages is
+   decoded and stored once while it stays resident. Decoding is a pure
+   function of the word, so the table never needs invalidating. *)
+let shared_word fp raw =
+  if Array.length fp.words = 0 then
+    fp.words <- Array.make word_table_size no_word;
+  (* Fibonacci hashing: the product's top bits depend on every bit of
+     the word, so words differing only in an immediate spread out. *)
+  let i = (Int64.to_int raw * 0x278DDE6E5FD29F05) lsr (63 - word_table_bits) in
+  let e = fp.words.(i) in
+  if Int64.equal (fst e) raw then e
+  else begin
+    let e = (raw, Decode.decode raw) in
+    fp.words.(i) <- e;
+    e
+  end
+
 (* Look up (filling lazily) the decoded word at DRAM address [pa]. *)
 let decode_cached t pa =
   let fp = t.fp in
@@ -445,34 +506,45 @@ let decode_cached t pa =
     | Some dp when Int64.equal dp.dp_pa_page pa_page ->
         let g = Physmem.page_gen dp.dp_phys in
         if dp.dp_gen <> g then begin
-          Array.fill dp.dp_slots 0 dcache_slots None;
-          dp.dp_gen <- g
+          Array.fill dp.dp_slots 0 dcache_slots no_word;
+          dp.dp_gen <- g;
+          fp.st_revalidations <- fp.st_revalidations + 1
         end;
         dp
-    | _ ->
+    | way -> (
         let phys =
           Physmem.page_handle (Bus.dram t.bus)
             (Int64.sub pa_page Bus.dram_base)
         in
-        let dp =
-          {
-            dp_pa_page = pa_page;
-            dp_phys = phys;
-            dp_gen = Physmem.page_gen phys;
-            dp_slots = Array.make dcache_slots None;
-          }
-        in
-        fp.dcache.(idx) <- Some dp;
-        dp
+        match way with
+        | Some dp ->
+            Array.fill dp.dp_slots 0 dcache_slots no_word;
+            dp.dp_pa_page <- pa_page;
+            dp.dp_phys <- phys;
+            dp.dp_gen <- Physmem.page_gen phys;
+            fp.st_evictions <- fp.st_evictions + 1;
+            dp
+        | None ->
+            let dp =
+              {
+                dp_pa_page = pa_page;
+                dp_phys = phys;
+                dp_gen = Physmem.page_gen phys;
+                dp_slots = Array.make dcache_slots no_word;
+              }
+            in
+            fp.dcache.(idx) <- Some dp;
+            dp)
   in
   let slot = Int64.to_int (Int64.logand pa 0xFFFL) lsr 2 in
-  match dp.dp_slots.(slot) with
-  | Some entry -> entry
-  | None ->
-      let raw = Bus.read t.bus pa 4 in
-      let entry = (raw, Decode.decode raw) in
-      dp.dp_slots.(slot) <- Some entry;
-      entry
+  let e = dp.dp_slots.(slot) in
+  if e != no_word then e
+  else begin
+    let e = shared_word fp (Bus.read t.bus pa 4) in
+    dp.dp_slots.(slot) <- e;
+    fp.st_fills <- fp.st_fills + 1;
+    e
+  end
 
 let fetch_decoded t =
   let fp = t.fp in

@@ -16,7 +16,10 @@
     [Pmp.reconfig_writes], [Clint.generation]); serving from it is
     indistinguishable from the uncached path — same traps, same TLB
     statistics, same ledger — and dropping it at any time is always
-    correct. *)
+    correct. Nothing needs dropping for correctness: decoded pages are
+    kept across world switches, and the callers of
+    [invalidate_fast_path] drop them only to release memory held for
+    code that will not run again. *)
 
 exception
   Trap_exn of Cause.exception_t * int64 * int64
@@ -37,14 +40,25 @@ type fastpath = {
   lm : amemo;  (** load translations *)
   sm : amemo;  (** store and AMO translations *)
   dcache : dpage option array;
+      (** 64 ways, direct-mapped by PA page, 1,024 slots each. An
+          evicted way's slot array is reused by the page that evicts
+          it. *)
+  mutable words : (int64 * Decode.t) array;
+      (** 2,048 (raw, decoded) pairs, direct-mapped by raw word and
+          allocated on the first fill. Every cached slot holding a
+          resident word points at its one pair. *)
   mutable cl_gen : int;
   mutable cl_poll_at : int64;
   mutable cl_last_time : int64;
   mutable cl_mtip : bool;
   mutable cl_msip : bool;
+  mutable st_fills : int;
+  mutable st_revalidations : int;
+  mutable st_evictions : int;
 }
 (** Fast-path memo state; see the module comment. The [cl_*] fields are
-    maintained by [Exec.step]'s timer poll. *)
+    maintained by [Exec.step]'s timer poll; the [st_*] counters are
+    read through [fast_path_stats]. *)
 
 type exec_counters = {
   c_alu : Metrics.Ledger.counter;
@@ -74,6 +88,9 @@ type t = {
   cost : Cost.t;
   mutable reservation : int64 option;  (** LR/SC reservation address *)
   mutable wfi_stalled : bool;
+  mutable sample_in : int;
+      (** retired instructions left before the installed PC-sampling
+          profiler takes its next sample; counted down by [Exec.step] *)
   fp : fastpath;
   cnt : exec_counters;
 }
@@ -94,12 +111,31 @@ val set_fast_path : t -> bool -> unit
 (** Enable/disable the fast path; disabling also drops all memos. *)
 
 val invalidate_fast_path : t -> unit
-(** Drop the fetch memo, decoded-instruction cache and CLINT poll memo.
-    Correct at any time; the SM's flush/scrub boundaries call this as
-    belt-and-braces on top of the generation checks. *)
+(** Drop the translation memos, the decoded pages and the CLINT poll
+    memo. Correct at any time, and never needed for correctness: the
+    generation checks already reject anything stale. The SM calls it
+    where a VM's code stops running (destroy, relinquish and channel
+    shootdowns, region setup, aborted entries, recovery) so that a dead
+    VM's decoded pages do not stay resident. World switches keep the
+    cache. The shared word table is kept: it depends on nothing but
+    the word. *)
 
 val flush_decode_cache : t -> unit
-(** Drop only the decoded-instruction cache ([fence.i]). *)
+(** Drop only the decoded pages ([fence.i]). *)
+
+type fast_path_stats = {
+  decode_fills : int;  (** decode-cache slots filled *)
+  revalidations : int;
+      (** cached pages cleared because their write generation moved *)
+  evictions : int;  (** ways taken over by a different page *)
+  fetch_memo_hits : int;
+  load_memo_hits : int;
+  store_memo_hits : int;  (** stores and AMOs *)
+}
+(** Cumulative fast-path health counters since the hart was created.
+    Invalidation does not reset them. *)
+
+val fast_path_stats : t -> fast_path_stats
 
 val get_reg : t -> int -> int64
 val set_reg : t -> int -> int64 -> unit

@@ -109,6 +109,48 @@ let lifecycle_tests =
           = Error Zion.Ecall.Invalid_param));
   ]
 
+(* A registration PMP cannot guard must be refused before the region is
+   linked: an [Error] leaves the pool, its free list and the audit
+   exactly as they were. *)
+let expect_region_refused mon ~base ~size =
+  let sm = Zion.Monitor.secmem mon in
+  let regions = Zion.Secmem.regions sm in
+  let free = Zion.Secmem.free_blocks sm in
+  let audit = Zion.Monitor.audit mon in
+  Alcotest.(check bool) "audit clean before" true (Result.is_ok audit);
+  Alcotest.(check bool)
+    "invalid" true
+    (Zion.Monitor.register_secure_region mon ~base ~size
+    = Error Zion.Ecall.Invalid_param);
+  Alcotest.(check (list (pair int64 int64)))
+    "regions unchanged" regions (Zion.Secmem.regions sm);
+  Alcotest.(check int) "free blocks unchanged" free
+    (Zion.Secmem.free_blocks sm);
+  Alcotest.(check bool) "audit unchanged" true (Zion.Monitor.audit mon = audit)
+
+let pool_end = Int64.add Bus.dram_base (mib 136)
+
+let region_tests =
+  [
+    Alcotest.test_case "block-aligned non-NAPOT region refused unlinked"
+      `Quick (fun () ->
+        let _, mon = make_platform () in
+        expect_region_refused mon ~base:pool_end ~size:0xC_0000L);
+    Alcotest.test_case "15th region refused unlinked" `Quick (fun () ->
+        let _, mon = make_platform () in
+        let block = Zion.Layout.default_block_size in
+        let nth i = Int64.add pool_end (Int64.mul (Int64.of_int i) block) in
+        for i = 0 to Zion.Pmp_guard.max_regions - 2 do
+          match Zion.Monitor.register_secure_region mon ~base:(nth i) ~size:block with
+          | Ok _ -> ()
+          | Error e -> Alcotest.fail (Zion.Ecall.error_to_string e)
+        done;
+        Alcotest.(check int) "pool at the PMP limit" Zion.Pmp_guard.max_regions
+          (List.length (Zion.Secmem.regions (Zion.Monitor.secmem mon)));
+        expect_region_refused mon ~base:(nth (Zion.Pmp_guard.max_regions - 1))
+          ~size:block);
+  ]
+
 let run_to_shutdown mon id =
   match Zion.Monitor.run_vcpu mon ~hart:0 ~cvm:id ~vcpu:0 ~max_steps:200_000 with
   | Ok Zion.Monitor.Exit_shutdown -> ()
@@ -328,6 +370,7 @@ let chart_tests =
 let suite =
   [
     ("monitor.lifecycle", lifecycle_tests);
+    ("monitor.regions", region_tests);
     ("monitor.guest-api", guest_api_tests);
     ("hypervisor.host_mem.properties", List.map QCheck_alcotest.to_alcotest host_mem_props);
     ("metrics.chart", chart_tests);

@@ -483,10 +483,190 @@ let satellite_tests =
           (run_fence ~rs1v:0L ~rs2v:0L (Decode.Sfence_vma (0, 0))));
   ]
 
+(* ---------- the decode cache across world switches ---------- *)
+
+(* World switches keep decoded pages; only write generations (and the
+   SM's drops where a VM dies) retire them. These run real CVMs through
+   the monitor's paper-faithful switch path. *)
+
+let testbed ~fast =
+  let tb = Platform.Testbed.create () in
+  Array.iter
+    (fun h -> Hart.set_fast_path h fast)
+    tb.Platform.Testbed.machine.Machine.harts;
+  tb
+
+let putchar_a0 = Asm.li Asm.a7 Zion.Ecall.sbi_legacy_putchar @ [ Decode.Ecall ]
+
+let mmio_load =
+  Decode.Load
+    { rd = Asm.t2; rs1 = Asm.t0; imm = 0x10L; width = Decode.W;
+      unsigned = false }
+
+(* t0 = the virtio MMIO window, then [body] looped [rounds] times,
+   then shutdown. [body] must decrement t1. *)
+let loop_header rounds =
+  Asm.li Asm.t0 Zion.Layout.virtio_mmio_gpa @ Asm.li Asm.t1 (Int64.of_int rounds)
+
+let counted_loop ~rounds body =
+  loop_header rounds @ body
+  @ [
+      Decode.Branch
+        (Decode.Bne, Asm.t1, Asm.zero, Int64.of_int (-4 * List.length body));
+    ]
+  @ Guest.Gprog.shutdown
+
+(* Each round: an MMIO load (an exit to the host and an entry back), a
+   running sum and one console byte. *)
+let mmio_loop rounds =
+  counted_loop ~rounds
+    ([
+       mmio_load;
+       Decode.Op (Decode.Add, Asm.s1, Asm.s1, Asm.t2);
+       Decode.Op_imm (Decode.Add, Asm.t1, Asm.t1, -1L);
+     ]
+    @ Guest.Gprog.putchar 'x')
+
+(* One timer slice on hart 0. *)
+let slice tb h =
+  Platform.Testbed.set_quantum tb ~hart:0 20_000;
+  Hypervisor.Kvm.run_cvm tb.Platform.Testbed.kvm h ~hart:0
+    ~max_steps:1_000_000
+
+(* Slice the guest until it shuts down; the number of timer exits. *)
+let run_sliced tb h =
+  Platform.Testbed.enable_timer tb ~hart:0;
+  let rec go timers =
+    match slice tb h with
+    | Hypervisor.Kvm.C_timer when timers < 10_000 -> go (timers + 1)
+    | Hypervisor.Kvm.C_shutdown -> timers
+    | _ -> Alcotest.fail "guest neither shut down nor took a timer exit"
+  in
+  go 0
+
+let switches tb = List.length (Zion.Monitor.exit_cycles tb.Platform.Testbed.monitor)
+let console tb = Zion.Monitor.console_output tb.Platform.Testbed.monitor
+
+(* Run [prog] as a CVM under both interpreters; the observable state,
+   console included, must match. Returns (timer exits, world switches,
+   console) of the fast arm. *)
+let cvm_differential prog =
+  let go fast =
+    let tb = testbed ~fast in
+    let timers = run_sliced tb (Platform.Testbed.cvm tb prog) in
+    ((timers, switches tb, console tb), obs tb.Platform.Testbed.machine)
+  in
+  let slow, slow_obs = go false in
+  let fast, fast_obs = go true in
+  if slow_obs <> fast_obs then
+    Alcotest.fail "fast and slow stepping diverged across world switches";
+  Alcotest.(check (triple int int string)) "timers, switches, console" slow fast;
+  fast
+
+(* The secure-pool page whose leading bytes are [image]. *)
+let pool_page_holding tb image =
+  let mon = tb.Platform.Testbed.monitor in
+  let bus = tb.Platform.Testbed.machine.Machine.bus in
+  let len = String.length image in
+  let found = ref None in
+  List.iter
+    (fun (base, size) ->
+      for i = 0 to Int64.to_int (Int64.div size 4096L) - 1 do
+        let pa = Int64.add base (Int64.of_int (i * 4096)) in
+        if !found = None && Bus.read_bytes bus pa len = image then
+          found := Some pa
+      done)
+    (Zion.Secmem.regions (Zion.Monitor.secmem mon));
+  match !found with
+  | Some pa -> pa
+  | None -> Alcotest.fail "guest image not found in the pool"
+
+let print_char_prog c =
+  Asm.li Asm.a0 (Int64.of_int (Char.code c)) @ putchar_a0 @ Guest.Gprog.shutdown
+
+let switch_tests =
+  [
+    Alcotest.test_case "exitful guest agrees cached and uncached over 50+ switches"
+      `Quick (fun () ->
+        let timers, switched, out = cvm_differential (mmio_loop 60) in
+        Alcotest.(check bool) "timer exits taken" true (timers > 0);
+        Alcotest.(check bool) "at least 50 world switches" true (switched >= 50);
+        Alcotest.(check string) "console" (String.make 60 'x') out);
+    Alcotest.test_case "code rewritten before an MMIO exit runs new bytes"
+      `Quick (fun () ->
+        (* Round 1 prints 'A', patches that print to 'B' and exits on an
+           MMIO load; round 2, after the entry, must print 'B'. *)
+        let print c =
+          Decode.Op_imm (Decode.Add, Asm.a0, Asm.zero, Int64.of_int (Char.code c))
+        in
+        let patched =
+          Int64.add Platform.Testbed.guest_entry
+            (Int64.of_int (4 * List.length (loop_header 2)))
+        in
+        let body =
+          [ print 'A' ] @ putchar_a0
+          @ Asm.li Asm.a1 patched
+          @ Asm.li Asm.a2 (Asm.encode (print 'B'))
+          @ [
+              Decode.Store
+                { rs1 = Asm.a1; rs2 = Asm.a2; imm = 0L; width = Decode.W };
+              mmio_load;
+              Decode.Op_imm (Decode.Add, Asm.t1, Asm.t1, -1L);
+            ]
+        in
+        let _, switched, out =
+          cvm_differential (counted_loop ~rounds:2 body)
+        in
+        Alcotest.(check bool) "switched" true (switched >= 2);
+        Alcotest.(check string) "second round ran the patched word" "AB" out);
+    Alcotest.test_case "a destroyed CVM's code page reused by a new CVM"
+      `Quick (fun () ->
+        let tb = testbed ~fast:true in
+        let mon = tb.Platform.Testbed.monitor in
+        let kvm = tb.Platform.Testbed.kvm in
+        let run h =
+          match Hypervisor.Kvm.run_cvm kvm h ~hart:0 ~max_steps:100_000 with
+          | Hypervisor.Kvm.C_shutdown -> ()
+          | _ -> Alcotest.fail "guest did not shut down"
+        in
+        let a = Platform.Testbed.cvm tb (print_char_prog 'A') in
+        let a_page = pool_page_holding tb (Asm.program (print_char_prog 'A')) in
+        run a;
+        (match Zion.Monitor.destroy_cvm mon ~cvm:(Hypervisor.Kvm.cvm_id a) with
+        | Ok () -> ()
+        | Error e -> Alcotest.fail (Zion.Ecall.error_to_string e));
+        let b = Platform.Testbed.cvm tb (print_char_prog 'B') in
+        Alcotest.(check int64) "same physical code page" a_page
+          (pool_page_holding tb (Asm.program (print_char_prog 'B')));
+        run b;
+        Alcotest.(check string) "each CVM ran its own code" "AB" (console tb));
+    Alcotest.test_case "warm exits and entries decode nothing" `Quick
+      (fun () ->
+        let tb = testbed ~fast:true in
+        let h = Platform.Testbed.cvm tb (mmio_loop 1_000_000) in
+        Platform.Testbed.enable_timer tb ~hart:0;
+        let hart = Machine.hart tb.Platform.Testbed.machine 0 in
+        let timer_slice () =
+          match slice tb h with
+          | Hypervisor.Kvm.C_timer -> ()
+          | _ -> Alcotest.fail "expected a timer exit"
+        in
+        timer_slice ();
+        timer_slice ();
+        let fills = (Hart.fast_path_stats hart).Hart.decode_fills in
+        let before = switches tb in
+        timer_slice ();
+        Alcotest.(check bool) "the round switched worlds" true
+          (switches tb - before >= 2);
+        Alcotest.(check int) "no decode fills" fills
+          (Hart.fast_path_stats hart).Hart.decode_fills);
+  ]
+
 let suite =
   [
     ("sim_fastpath.oracle", List.map QCheck_alcotest.to_alcotest oracle_props);
     ("sim_fastpath.stale_decode", stale_tests);
     ("sim_fastpath.paged", paged_tests);
     ("sim_fastpath.satellites", satellite_tests);
+    ("sim_fastpath.world_switch", switch_tests);
   ]
