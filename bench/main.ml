@@ -678,15 +678,7 @@ let bench_exitless () =
     ((io_l -. io_f) /. io_f *. 100.)
     drop_f drop_l;
   (* Ring-poison sweep: every packaged vector against a fresh stack. *)
-  let vectors =
-    [
-      ("desc_gpa", Hypervisor.Attacks.ring_poison_desc_gpa);
-      ("desc_len", Hypervisor.Attacks.ring_poison_desc_len);
-      ("used_rewind", Hypervisor.Attacks.ring_used_rewind);
-      ("used_replay", Hypervisor.Attacks.ring_used_replay);
-      ("avail_runaway", Hypervisor.Attacks.ring_avail_runaway);
-    ]
-  in
+  let vectors = Hypervisor.Attacks.ring_vectors in
   let blocked = ref 0 in
   List.iter
     (fun (name, attack) ->
@@ -695,9 +687,9 @@ let bench_exitless () =
       match attack tb.Platform.Testbed.kvm h with
       | Hypervisor.Attacks.Blocked why ->
           incr blocked;
-          Printf.printf "  poison %-14s blocked: %s\n" name why
+          Printf.printf "  poison %-17s blocked: %s\n" name why
       | Hypervisor.Attacks.Leaked why ->
-          Printf.printf "  poison %-14s LEAKED: %s\n" name why)
+          Printf.printf "  poison %-17s LEAKED: %s\n" name why)
     vectors;
   let json =
     Printf.sprintf

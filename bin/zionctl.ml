@@ -196,6 +196,50 @@ let boot_cmd =
 
 (* ---------- attacks ---------- *)
 
+(* The one verdict printer: each vector's outcome as a table row or a
+   JSON member. Exits 1 if any vector leaked. *)
+let print_verdicts ~json outcomes =
+  let blocked = function
+    | Hypervisor.Attacks.Blocked why -> (true, why)
+    | Hypervisor.Attacks.Leaked why -> (false, why)
+  in
+  if json then begin
+    let open Metrics.Export in
+    print_endline
+      (json_to_string
+         (Obj
+            (List.map
+               (fun (n, o) ->
+                 let b, why = blocked o in
+                 (n, Obj [ ("blocked", Bool b); ("how", Str why) ]))
+               outcomes)))
+  end
+  else
+    Metrics.Table.print
+      ~header:[ "vector"; "verdict"; "defence" ]
+      (List.map
+         (fun (n, o) ->
+           let b, why = blocked o in
+           [ n; (if b then "BLOCKED" else "LEAKED"); why ])
+         outcomes);
+  if List.exists (fun (_, o) -> not (fst (blocked o))) outcomes then exit 1
+
+let vector_names vectors =
+  String.concat " | " (List.map fst vectors @ [ "all" ])
+
+(* [name]'s vector, or every vector for "all"; exits 2 on an unknown
+   name. *)
+let choose_vectors vectors name =
+  if name = "all" then vectors
+  else
+    match List.assoc_opt name vectors with
+    | Some a -> [ (name, a) ]
+    | None ->
+        prerr_endline
+          (Printf.sprintf "unknown vector '%s' (%s)" name
+             (vector_names vectors));
+        exit 2
+
 let attacks_cmd =
   let run () =
     let tb = Platform.Testbed.create () in
@@ -206,21 +250,21 @@ let attacks_cmd =
       | (base, _) :: _ -> base
       | [] -> failwith "no pool"
     in
-    let show name o =
-      Printf.printf "%-30s %s\n" name
-        (match o with
-        | Hypervisor.Attacks.Blocked how -> "BLOCKED: " ^ how
-        | Hypervisor.Attacks.Leaked what -> "LEAKED: " ^ what)
-    in
-    show "read secure memory"
-      (Hypervisor.Attacks.read_secure_memory machine ~pool_pa:pool);
-    show "write secure memory"
-      (Hypervisor.Attacks.write_secure_memory machine ~pool_pa:pool);
-    show "DMA into the pool"
-      (Hypervisor.Attacks.dma_into_pool machine ~pool_pa:pool)
+    print_verdicts ~json:false
+      [
+        ( "read secure memory",
+          Hypervisor.Attacks.read_secure_memory machine ~pool_pa:pool );
+        ( "write secure memory",
+          Hypervisor.Attacks.write_secure_memory machine ~pool_pa:pool );
+        ( "DMA into the pool",
+          Hypervisor.Attacks.dma_into_pool machine ~pool_pa:pool );
+      ]
   in
   Cmd.v
-    (Cmd.info "attacks" ~doc:"Run the malicious-hypervisor attack suite")
+    (Cmd.info "attacks"
+       ~doc:
+         "Run the malicious-hypervisor attack suite; exits 1 if any \
+          vector leaks")
     Term.(const run $ const ())
 
 (* ---------- audit ---------- *)
@@ -937,77 +981,24 @@ let io_cmd =
       & opt (some string) None
       & info [ "poison" ] ~docv:"VECTOR"
           ~doc:
-            "Instead of the throughput run, poison a live ring with \
-             $(docv) (desc-gpa | desc-len | used-rewind | used-replay | \
-             used-dup-in-batch | avail-runaway | all) and report the \
-             degradation verdict.")
+            ("Instead of the throughput run, poison a live ring with \
+              $(docv) ("
+            ^ vector_names Hypervisor.Attacks.ring_vectors
+            ^ ") and report the degradation verdict."))
   in
   let json =
     Arg.(
       value & flag
       & info [ "json" ] ~doc:"Emit the result as JSON instead of a table.")
   in
-  let vectors =
-    [
-      ("desc-gpa", Hypervisor.Attacks.ring_poison_desc_gpa);
-      ("desc-len", Hypervisor.Attacks.ring_poison_desc_len);
-      ("used-rewind", Hypervisor.Attacks.ring_used_rewind);
-      ("used-replay", Hypervisor.Attacks.ring_used_replay);
-      ("used-dup-in-batch", Hypervisor.Attacks.ring_used_dup_in_batch);
-      ("avail-runaway", Hypervisor.Attacks.ring_avail_runaway);
-    ]
-  in
-  let run_poison name json_out =
-    let chosen =
-      if name = "all" then vectors
-      else
-        match List.assoc_opt name vectors with
-        | Some a -> [ (name, a) ]
-        | None ->
-            prerr_endline
-              ("unknown poison vector '" ^ name
-             ^ "' (desc-gpa | desc-len | used-rewind | used-replay | \
-                used-dup-in-batch | avail-runaway | all)");
-            exit 2
-    in
-    let outcomes =
-      List.map
-        (fun (n, attack) ->
-          let tb = Platform.Testbed.create () in
-          let h = Platform.Testbed.cvm tb (Guest.Gprog.hello "p") in
-          (n, attack tb.Platform.Testbed.kvm h))
-        chosen
-    in
-    if json_out then begin
-      let open Metrics.Export in
-      print_endline
-        (json_to_string
-           (Obj
-              (List.map
-                 (fun (n, o) ->
-                   ( n,
-                     match o with
-                     | Hypervisor.Attacks.Blocked why ->
-                         Obj [ ("blocked", Bool true); ("how", Str why) ]
-                     | Hypervisor.Attacks.Leaked why ->
-                         Obj [ ("blocked", Bool false); ("how", Str why) ] ))
-                 outcomes)))
-    end
-    else
-      Metrics.Table.print
-        ~header:[ "vector"; "verdict"; "defence" ]
-        (List.map
-           (fun (n, o) ->
-             match o with
-             | Hypervisor.Attacks.Blocked why -> [ n; "BLOCKED"; why ]
-             | Hypervisor.Attacks.Leaked why -> [ n; "LEAKED"; why ])
-           outcomes);
-    if
-      List.exists
-        (fun (_, o) ->
-          match o with Hypervisor.Attacks.Leaked _ -> true | _ -> false)
-        outcomes
-    then exit 1
+  let run_poison name json =
+    print_verdicts ~json
+      (List.map
+         (fun (n, attack) ->
+           let tb = Platform.Testbed.create () in
+           let h = Platform.Testbed.cvm tb (Guest.Gprog.hello "p") in
+           (n, attack tb.Platform.Testbed.kvm h))
+         (choose_vectors Hypervisor.Attacks.ring_vectors name))
   in
   let run_throughput requests batch json_out =
     let batch = max 1 (min batch (Guest.Swiotlb.ring_entries - 1)) in
@@ -1116,88 +1107,37 @@ let channel_cmd =
       & opt (some string) None
       & info [ "attack" ] ~docv:"VECTOR"
           ~doc:
-            "Instead of the round-trip demo, run a hostile-peer attack \
-             vector (poison-seq | map-ring | stale-epoch | \
-             destroyed-grantor | quarantined-peer | all) and report the \
-             verdict. Every vector must come back BLOCKED: the blast \
-             radius is the channel, never the tenant.")
+            ("Instead of the round-trip demo, run a hostile-peer attack \
+              vector ("
+            ^ vector_names Hypervisor.Attacks.chan_vectors
+            ^ ") and report the verdict. Every vector must come back \
+               BLOCKED: the blast radius is the channel, never the \
+               tenant."))
   in
   let json =
     Arg.(
       value & flag
       & info [ "json" ] ~doc:"Emit the result as JSON instead of a table.")
   in
-  let vectors =
-    [
-      ("poison-seq", Hypervisor.Attacks.chan_poison_seq);
-      ("map-ring", Hypervisor.Attacks.chan_map_ring);
-      ("stale-epoch", Hypervisor.Attacks.chan_accept_stale_epoch);
-      ("destroyed-grantor", Hypervisor.Attacks.chan_peer_destroyed_mid_accept);
-      ("quarantined-peer", Hypervisor.Attacks.chan_quarantined_peer);
-    ]
-  in
-  let run_attack name json_out =
-    let chosen =
-      if name = "all" then vectors
-      else
-        match List.assoc_opt name vectors with
-        | Some a -> [ (name, a) ]
-        | None ->
-            prerr_endline
-              ("unknown attack vector '" ^ name
-             ^ "' (poison-seq | map-ring | stale-epoch | \
-                destroyed-grantor | quarantined-peer | all)");
-            exit 2
-    in
-    let outcomes =
-      List.map
-        (fun (n, attack) ->
-          (* Entry validation on: the map-ring and quarantined-peer
-             vectors go through the SM's shared-subtree sweep. *)
-          let tb =
-            Platform.Testbed.create
-              ~config:
-                {
-                  Zion.Monitor.default_config with
-                  validate_shared_on_entry = true;
-                }
-              ()
-          in
-          let a = Platform.Testbed.cvm tb (Guest.Gprog.hello "a") in
-          let b = Platform.Testbed.cvm tb (Guest.Gprog.hello "b") in
-          (n, attack tb.Platform.Testbed.kvm a b))
-        chosen
-    in
-    if json_out then begin
-      let open Metrics.Export in
-      print_endline
-        (json_to_string
-           (Obj
-              (List.map
-                 (fun (n, o) ->
-                   ( n,
-                     match o with
-                     | Hypervisor.Attacks.Blocked why ->
-                         Obj [ ("blocked", Bool true); ("how", Str why) ]
-                     | Hypervisor.Attacks.Leaked why ->
-                         Obj [ ("blocked", Bool false); ("how", Str why) ] ))
-                 outcomes)))
-    end
-    else
-      Metrics.Table.print
-        ~header:[ "vector"; "verdict"; "defence" ]
-        (List.map
-           (fun (n, o) ->
-             match o with
-             | Hypervisor.Attacks.Blocked why -> [ n; "BLOCKED"; why ]
-             | Hypervisor.Attacks.Leaked why -> [ n; "LEAKED"; why ])
-           outcomes);
-    if
-      List.exists
-        (fun (_, o) ->
-          match o with Hypervisor.Attacks.Leaked _ -> true | _ -> false)
-        outcomes
-    then exit 1
+  let run_attack name json =
+    print_verdicts ~json
+      (List.map
+         (fun (n, attack) ->
+           (* Entry validation on: the map-ring and quarantined-peer
+              vectors go through the SM's shared-subtree sweep. *)
+           let tb =
+             Platform.Testbed.create
+               ~config:
+                 {
+                   Zion.Monitor.default_config with
+                   validate_shared_on_entry = true;
+                 }
+               ()
+           in
+           let a = Platform.Testbed.cvm tb (Guest.Gprog.hello "a") in
+           let b = Platform.Testbed.cvm tb (Guest.Gprog.hello "b") in
+           (n, attack tb.Platform.Testbed.kvm a b))
+         (choose_vectors Hypervisor.Attacks.chan_vectors name))
   in
   let run_demo msg json_out =
     let msg =

@@ -19,7 +19,6 @@ type op =
     }
   | Op_mig_in_commit of { session : string }
   | Op_mig_in_abort of { session : string }
-  | Op_import of { mutable built : int option }
   | Op_chan_grant of { chan : int; a : int; b : int; block_base : int64 }
   | Op_chan_accept of { chan : int }
   | Op_chan_revoke of { chan : int; degraded : bool }
@@ -155,7 +154,6 @@ let op_to_string = function
       Printf.sprintf "mig-in-commit:%s" (hex session)
   | Op_mig_in_abort { session } ->
       Printf.sprintf "mig-in-abort:%s" (hex session)
-  | Op_import { built } -> Printf.sprintf "import:%s" (built_to_string built)
   | Op_chan_grant { chan; a; b; block_base } ->
       Printf.sprintf "chan-grant:%d:%d:%d:0x%Lx" chan a b block_base
   | Op_chan_accept { chan } -> Printf.sprintf "chan-accept:%d" chan
@@ -226,9 +224,6 @@ let op_of_string s =
   | [ "mig-in-abort"; session ] ->
       let* session = unhex session in
       Ok (Op_mig_in_abort { session })
-  | [ "import"; built ] ->
-      let* built = built_of built in
-      Ok (Op_import { built })
   | [ "chan-grant"; chan; a; b; base ] ->
       let* chan = req "chan" (int_of chan) in
       let* a = req "a" (int_of a) in

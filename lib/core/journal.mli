@@ -14,9 +14,9 @@
     durable state alone (destroy, relinquish, quarantine, pool growth,
     migration commits — all replay steps are idempotent), roll {e back}
     for operations whose inputs lived in untrusted volatile memory
-    (create, load, prepare, import — the half-built object is scrubbed
-    and reclaimed). Either way the monitor converges to a state where
-    [Monitor.audit] is clean and exactly-one-owner holds.
+    (create, load, migrate-in prepare — the half-built object is
+    scrubbed and reclaimed). Either way the monitor converges to a state
+    where [Monitor.audit] is clean and exactly-one-owner holds.
 
     {2 Journal points and the crash model}
 
@@ -61,8 +61,6 @@ type op =
     }
   | Op_mig_in_commit of { session : string }
   | Op_mig_in_abort of { session : string }
-  | Op_import of { mutable built : int option }
-      (** one-shot import_cvm (same rollback story as prepare). *)
   | Op_chan_grant of { chan : int; a : int; b : int; block_base : int64 }
       (** chan_grant: [chan] is the channel id being minted, [block_base]
           the pool block about to be popped for its ring page. Rolls

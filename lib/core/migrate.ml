@@ -134,26 +134,18 @@ let pad16 s =
 (* A purely plaintext-derived SIV is deterministic: two exports of an
    unchanged CVM would yield byte-identical blobs, letting the host
    correlate them (and detect that a guest made no progress between
-   snapshots). Every seal therefore mixes a fresh 16-byte session nonce
-   into both the IV and the tag; the nonce travels in the clear header
-   — it carries no secret, it only breaks determinism. *)
+   snapshots). Every seal therefore mixes a 16-byte session nonce into
+   both the IV and the tag; the nonce travels in the clear header — it
+   carries no secret, it only breaks determinism. *)
 let nonce_len = 16
-let export_epoch = ref 0
 
-let fresh_nonce () =
-  incr export_epoch;
-  String.sub
-    (Attest.hmac_sha256 ~key:mac_key
-       (Printf.sprintf "export-nonce:%d" !export_epoch))
-    0 nonce_len
-
-let seal ?nonce im =
+let seal ~nonce im =
   let nonce =
-    match nonce with
-    | Some n when String.length n = nonce_len -> n
-    | Some n ->
-        String.sub (Attest.hmac_sha256 ~key:mac_key ("nonce:" ^ n)) 0 nonce_len
-    | None -> fresh_nonce ()
+    if String.length nonce = nonce_len then nonce
+    else
+      String.sub
+        (Attest.hmac_sha256 ~key:mac_key ("nonce:" ^ nonce))
+        0 nonce_len
   in
   let payload = serialize im in
   (* SIV-style synthetic IV: MAC of nonce + plaintext. *)

@@ -639,18 +639,13 @@ let exit_cost ?(pmp = true) ?tlb_flush t ~mmio =
   let long = if t.cfg.long_path then long_path_exit_extra c else 0 in
   base + mmio_extra + long
 
-let fault_base_cost c =
-  c.Cost.trap_entry + c.Cost.sm_fault_decode + c.Cost.sm_fault_validate
-  + c.Cost.page_cache_alloc + c.Cost.page_scrub + (3 * c.Cost.page_walk_step)
-  + c.Cost.gstage_map + c.Cost.sm_fault_bookkeeping + c.Cost.xret
-
 let fault_cost t stage =
   let c = t.cost in
   match stage with
-  | Hier_alloc.Stage1 -> fault_base_cost c
-  | Hier_alloc.Stage2 -> fault_base_cost c + c.Cost.block_grab
+  | Hier_alloc.Stage1 -> Cost.sm_fault_base c
+  | Hier_alloc.Stage2 -> Cost.sm_fault_base c + c.Cost.block_grab
   | Hier_alloc.Stage3_retry ->
-      fault_base_cost c + c.Cost.block_grab
+      Cost.sm_fault_base c + c.Cost.block_grab
       + exit_cost t ~mmio:No_mmio
       + entry_cost t ~mmio:No_mmio ~validated_ptes:0
       + c.Cost.expand_host_work + c.Cost.pmp_toggle + c.Cost.pmp_toggle
@@ -1410,34 +1405,20 @@ let snapshot_image t cvm =
 let fresh_export_nonce t =
   Printf.sprintf "%Ld:%Ld" (next_random t) (next_random t)
 
-let export_cvm_impl t ~cvm:id =
-  match find_cvm t id with
-  | None -> Error Ecall.Not_found
-  | Some cvm -> begin
-      match cvm.Cvm.state with
-      | Cvm.Quarantined -> Error Ecall.Quarantined
-      | Cvm.Running | Cvm.Created | Cvm.Destroyed
-      | Cvm.Migrating_out | Cvm.Migrating_in ->
-          Error Ecall.Bad_state
-      | Cvm.Runnable | Cvm.Suspended ->
-          Ok (Migrate.seal ~nonce:(fresh_export_nonce t) (snapshot_image t cvm))
-    end
-
-let export_cvm t ~cvm =
-  host_call t "export_cvm" ~cvm (fun () -> export_cvm_impl t ~cvm)
-
 (* Rebuild a CVM from a verified image into fresh secure memory, landing
-   it in [state] ([Suspended] for the one-shot path, [Migrating_in] for
-   a 2PC prepare). Rolls the half-built CVM back on any failure.
-   [on_created] fires the moment the empty CVM exists — the caller's
-   journal record learns the id there, so a crash mid-restore can still
-   find and scrub the half-built instance. *)
-let build_cvm_from_image ?on_created t im ~state =
+   it in [Migrating_in] (the 2PC prepared state). Rolls the half-built
+   CVM back on any failure. The prepare record [jr] learns the id (with
+   a checkpoint) the moment the empty CVM exists, so a crash
+   mid-restore can still find and scrub the half-built instance. *)
+let build_cvm_from_image t ~jr im =
   let nvcpus = List.length im.Migrate.im_vcpus in
   match create_cvm t ~nvcpus ~entry_pc:0L with
   | Error e -> Error e
   | Ok id -> begin
-      (match on_created with Some f -> f id | None -> ());
+      (match jr.Journal.op with
+      | Journal.Op_mig_in_prepare p -> p.built <- Some id
+      | _ -> ());
+      Journal.checkpoint t.journal jr "built";
       let cvm =
         match find_cvm t id with Some c -> c | None -> assert false
       in
@@ -1472,30 +1453,11 @@ let build_cvm_from_image ?on_created t im ~state =
             (if im.Migrate.im_measurement = "" then None
              else Some im.Migrate.im_measurement);
           cvm.Cvm.measurement_ctx <- None;
-          cvm.Cvm.state <- state;
+          cvm.Cvm.state <- Cvm.Migrating_in;
           charge t "sm_migrate"
             (List.length im.Migrate.im_pages * t.cost.Cost.page_scrub);
           Ok id
     end
-
-let import_cvm_impl t blob =
-  match Migrate.unseal blob with
-  | Error _ -> Error Ecall.Denied
-  | Ok im ->
-      let jr = Journal.append t.journal (Journal.Op_import { built = None }) in
-      let result =
-        build_cvm_from_image t im ~state:Cvm.Suspended
-          ~on_created:(fun id ->
-            (match jr.Journal.op with
-            | Journal.Op_import p -> p.built <- Some id
-            | _ -> ());
-            Journal.checkpoint t.journal jr "built")
-      in
-      Journal.mark_done t.journal jr;
-      result
-
-let import_cvm t blob =
-  host_call t "import_cvm" (fun () -> import_cvm_impl t blob)
 
 (* ---------- crash-safe migration sessions (2PC handoff) ---------- *)
 
@@ -1655,6 +1617,15 @@ let migrate_out_commit t ~session =
             end
         end)
 
+(* Whether an in-session other than [session] already took a blob with
+   this tag, in any phase. *)
+let blob_taken t ~session tag =
+  let key = session_key Mig_in session in
+  Hashtbl.fold
+    (fun k s taken ->
+      taken || (k <> key && s.mg_role = Mig_in && s.mg_blob_tag = tag))
+    t.sessions false
+
 let migrate_in_prepare t ~session ~epoch blob =
   host_call t "migrate_in_prepare" (fun () ->
       if not (valid_session_id session) || epoch <= 0 then
@@ -1667,8 +1638,12 @@ let migrate_in_prepare t ~session ~epoch blob =
         | Some s when s.mg_phase <> Mig_active -> Error Ecall.Denied
         | Some s when epoch < s.mg_epoch -> Error Ecall.Bad_state
         | maybe -> begin
+            let tag = blob_tag blob in
             match Migrate.unseal blob with
             | Error _ -> Error Ecall.Denied
+            (* Blobs are single-use too: the same bytes replayed under a
+               fresh session id would land a second live copy. *)
+            | Ok _ when blob_taken t ~session tag -> Error Ecall.Denied
             | Ok im -> begin
                 let jr =
                   Journal.append t.journal
@@ -1693,17 +1668,9 @@ let migrate_in_prepare t ~session ~epoch blob =
                     | None -> ()
                   end
                 | None -> ());
-                match
-                  build_cvm_from_image t im ~state:Cvm.Migrating_in
-                    ~on_created:(fun id ->
-                      (match jr.Journal.op with
-                      | Journal.Op_mig_in_prepare p -> p.built <- Some id
-                      | _ -> ());
-                      Journal.checkpoint t.journal jr "built")
-                with
+                match build_cvm_from_image t ~jr im with
                 | Error e -> finish (Error e)
                 | Ok id ->
-                    let tag = blob_tag blob in
                     (match maybe with
                     | Some s ->
                         s.mg_cvm <- Some id;
@@ -2619,11 +2586,6 @@ let fault_log t = t.faults
 let alloc_stats t ~cvm:id =
   Option.map (fun c -> c.Cvm.alloc_stats) (find_cvm t id)
 
-let reset_stats t =
-  t.entry_hist <- [];
-  t.exit_hist <- [];
-  t.faults <- []
-
 let console_output t = Machine.console_output t.machine
 
 let pmp_counters t =
@@ -3308,19 +3270,6 @@ let replay_record t ~note ~fwd ~back (r : Journal.record) =
             (Printf.sprintf "in-abort #%d: session %s aborted"
                r.Journal.seq session)
       | _ -> ())
-  | Journal.Op_import p -> (
-      incr back;
-      match p.built with
-      | Some id -> (
-          match find_cvm t id with
-          | Some cvm when cvm.Cvm.state <> Cvm.Destroyed ->
-              note
-                (Printf.sprintf
-                   "import #%d: rolled back half-restored CVM %d"
-                   r.Journal.seq id);
-              destroy_replay ~record:r t cvm
-          | _ -> ())
-      | None -> ())
   | Journal.Op_chan_grant { chan; a = _; b = _; block_base } -> (
       incr back;
       (* Channel ids double as slot indices: never mint this one

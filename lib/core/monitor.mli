@@ -307,23 +307,10 @@ val chan_list : t -> chan_info list
 (** All channels this monitor knows, sorted by id (dead ones
     included). *)
 
-val export_cvm : t -> cvm:int -> (string, Ecall.error) result
-(** Snapshot a suspended (or not-yet-run) CVM into an encrypted,
-    authenticated migration blob (see [Migrate]) the untrusted
-    hypervisor can transport. The source CVM is left intact; the host
-    destroys it once the move commits. *)
-
-val import_cvm : t -> string -> (int, Ecall.error) result
-(** Rebuild a CVM from a migration blob: verify, decrypt, allocate fresh
-    secure memory, restore pages, vCPU state and measurement. Returns
-    the new CVM id, ready to resume. [Denied] on authentication
-    failure. *)
-
 (* {2 Crash-safe migration sessions (2PC handoff)}
 
-   The one-shot [export_cvm]/[import_cvm] pair above remains as a
-   building block, but the migration story is the session API below,
-   driven by the [Migrate_proto] endpoints over an unreliable courier.
+   The session API below is the only way a CVM leaves a monitor. The
+   [Migrate_proto] endpoints drive it over an unreliable courier.
    All decision state — who owns the guest — lives in the monitors'
    session tables, so a crashed endpoint recovers by re-deriving its
    protocol position from [migrate_session]. Ownership rules:
@@ -338,7 +325,10 @@ val import_cvm : t -> string -> (int, Ecall.error) result
      [migrate_in_commit] is the only way forward.
    - Session ids are single-use per direction: a committed or aborted
      in-session never accepts another blob ([Denied]), which rejects
-     replays of a committed session. *)
+     replays of a committed session.
+   - Blobs are single-use per destination: a blob another in-session
+     already took is [Denied], so a committed blob replayed under a
+     fresh session id cannot land a second copy. *)
 
 val migrate_out_begin :
   ?budget:int ->
@@ -369,8 +359,9 @@ val migrate_in_prepare :
 (** Verify a reassembled blob and build the destination CVM in
     [Migrating_in] (2PC prepared). Returns the CVM id. A later epoch of
     the same session replaces an earlier prepared instance; [Denied] on
-    authentication failure or on replay of a committed/aborted session;
-    [Bad_state] on a stale epoch. *)
+    authentication failure, on replay of a committed/aborted session, or
+    on a blob another in-session already took; [Bad_state] on a stale
+    epoch. *)
 
 val migrate_in_commit : t -> session:string -> (int, Ecall.error) result
 (** Activate a prepared CVM ([Migrating_in] → [Suspended], ready to
@@ -461,7 +452,6 @@ val fault_log : t -> (Hier_alloc.stage * int) list
 (** (stage, cycles) per stage-2 fault handled, most recent first. *)
 
 val alloc_stats : t -> cvm:int -> Hier_alloc.stats option
-val reset_stats : t -> unit
 
 val console_output : t -> string
 (** Guest console bytes forwarded by the SM to the UART. *)
@@ -519,7 +509,7 @@ val audit : t -> (int, string list) result
     roll-forward for operations whose inputs are already durable
     (destroy, relinquish, quarantine, expand, migration abort/commit),
     roll-back for operations whose inputs lived in untrusted volatile
-    memory (create, load, import, migrate-in prepare) — until [audit]
+    memory (create, load, migrate-in prepare) — until [audit]
     is clean and exactly-one-owner holds again. The non-crash path
     never charges a cycle for journaling: records are modeled NVRAM
     writes outside the cost ledger. *)

@@ -425,3 +425,22 @@ let chan_quarantined_peer kvm ha hb =
         | Ok false | Error _ ->
             chan_judge kvm ~chan ~label:"quarantined peer"
               ~alive:[ Kvm.cvm_id hb ])
+
+let ring_vectors =
+  [
+    ("desc-gpa", ring_poison_desc_gpa);
+    ("desc-len", ring_poison_desc_len);
+    ("used-rewind", ring_used_rewind);
+    ("used-replay", ring_used_replay);
+    ("used-dup-in-batch", ring_used_dup_in_batch);
+    ("avail-runaway", ring_avail_runaway);
+  ]
+
+let chan_vectors =
+  [
+    ("poison-seq", chan_poison_seq);
+    ("map-ring", chan_map_ring);
+    ("stale-epoch", chan_accept_stale_epoch);
+    ("destroyed-grantor", chan_peer_destroyed_mid_accept);
+    ("quarantined-peer", chan_quarantined_peer);
+  ]

@@ -67,6 +67,10 @@ val ring_avail_runaway : Kvm.t -> Kvm.cvm_handle -> outcome
 (** Run the avail index far past everything published (wrap flood);
     the host clamps, the guest sees phantom completions. *)
 
+val ring_vectors : (string * (Kvm.t -> Kvm.cvm_handle -> outcome)) list
+(** Every ring-poison vector above, by name ("desc-gpa", …,
+    "avail-runaway"). *)
+
 (** {2 Hostile-peer channel attacks}
 
     Vectors against the attested inter-CVM channel ([Zion.Monitor]'s
@@ -100,3 +104,8 @@ val chan_quarantined_peer :
 (** Quarantine one endpoint of an Established channel; the implicit
     revoke must scrub and unmap both halves while the other endpoint
     keeps running. *)
+
+val chan_vectors :
+  (string * (Kvm.t -> Kvm.cvm_handle -> Kvm.cvm_handle -> outcome)) list
+(** Every channel vector above, by name ("poison-seq", …,
+    "quarantined-peer"). *)

@@ -247,7 +247,7 @@ let fuzz_region w =
 (* One randomized call against a randomly chosen host-interface fid. *)
 let fuzz_ecall w =
   let mon = w.mon in
-  match rand_int w.r 15 with
+  match rand_int w.r 13 with
   | 0 -> fuzz_region w
   | 1 -> (
       let nvcpus = rand_int w.r 200 - 50 and entry_pc = fuzz_addr w in
@@ -295,28 +295,26 @@ let fuzz_ecall w =
             ~vcpu:(rand_int w.r 6 - 2)
             ~reg:(rand_int w.r 40 - 4)
             (rand_i64 w.r))
-  | 8 -> call w (fun () -> Zion.Monitor.export_cvm mon ~cvm:(fuzz_id w))
-  | 9 -> call w (fun () -> Zion.Monitor.import_cvm mon (fuzz_string w))
-  | 10 ->
+  | 8 ->
       (* A hostile host opening migration sessions on arbitrary ids:
          at worst it parks its own CVM in [Migrating_out] (it could
          equally destroy it), never anyone else's. *)
       call w (fun () ->
           Zion.Monitor.migrate_out_begin mon ~cvm:(fuzz_id w)
             ~session:(fuzz_session w))
-  | 11 ->
+  | 9 ->
       let session = fuzz_session w in
       if rand_int w.r 2 = 0 then
         call w (fun () -> Zion.Monitor.migrate_out_abort mon ~session)
       else call w (fun () -> Zion.Monitor.migrate_out_commit mon ~session)
-  | 12 ->
+  | 10 ->
       (* Random bytes never carry a valid seal, so prepare must refuse
          without allocating anything. *)
       call w (fun () ->
           Zion.Monitor.migrate_in_prepare mon ~session:(fuzz_session w)
             ~epoch:(rand_int w.r 6 - 2)
             (fuzz_string w))
-  | 13 -> (
+  | 11 -> (
       let session = fuzz_session w in
       match rand_int w.r 3 with
       | 0 -> call w (fun () -> Zion.Monitor.migrate_in_commit mon ~session)
@@ -712,37 +710,6 @@ let flip_expand_policy w =
     | 2 -> Kvm.Expand_delay (1 + rand_int w.r 3)
     | _ -> Kvm.Expand_short)
 
-(* Legitimate export → import → run → destroy round trip. *)
-let migrate_roundtrip w =
-  match w.live with
-  | [] -> ()
-  | l -> (
-      let h = one_of w.r l in
-      match Zion.Monitor.export_cvm w.mon ~cvm:(Kvm.cvm_id h) with
-      | Error _ -> ()
-      | Ok blob -> (
-          count_result w (Ok ());
-          let blob =
-            (* half the time, flip a byte: import must refuse *)
-            if rand_int w.r 2 = 0 then blob
-            else begin
-              let b = Bytes.of_string blob in
-              let i = rand_int w.r (Bytes.length b) in
-              Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x40));
-              Bytes.to_string b
-            end
-          in
-          match Zion.Monitor.import_cvm w.mon blob with
-          | exception _ ->
-              w.uncaught <- w.uncaught + 1;
-              Metrics.Registry.inc (registry w) "chaos.uncaught"
-          | Error _ -> ()
-          | Ok id ->
-              ignore
-                (Zion.Monitor.run_vcpu w.mon ~hart:0 ~cvm:id ~vcpu:0
-                   ~max_steps:2000);
-              call w (fun () -> Zion.Monitor.destroy_cvm w.mon ~cvm:id)))
-
 (* Full protocol migration to the second platform, over a lossy channel
    with random fault rates and, some of the time, a crash injected on a
    random side at a random step. Whatever happens, the run must reach a
@@ -914,7 +881,6 @@ let run ?(dram_mib = 128) ?(pool_mib = 2) ?(nharts = 2)
     | n when n < 89 -> tamper_subtree w
     | n when n < 94 -> poison_ring w
     | n when n < 95 -> flip_expand_policy w
-    | n when n < 97 -> migrate_roundtrip w
     | n when n < 99 -> proto_migrate w
     | _ -> ( match w.live with [] -> spawn w | h :: _ -> destroy w h));
     reap_quarantined w;
@@ -1129,12 +1095,6 @@ let sm_scenarios () =
               (Zion.Monitor.run_vcpu mon ~hart:0 ~cvm:(Kvm.cvm_id h) ~vcpu:0
                  ~max_steps:100)),
           ignore ));
-    solo "import" (fun mon kvm ->
-        let h = sm_guest kvm in
-        let blob =
-          sm_expect "export" (Zion.Monitor.export_cvm mon ~cvm:(Kvm.cvm_id h))
-        in
-        ((fun () -> ignore (Zion.Monitor.import_cvm mon blob)), ignore));
     solo "mig-out-begin" (fun mon kvm ->
         let h = sm_guest kvm in
         ( (fun () ->

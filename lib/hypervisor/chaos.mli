@@ -76,7 +76,7 @@ val run :
     The crash-consistency counterpart to the hostile-host fuzzer: kill
     the Secure Monitor at {e every} write-ahead-journal point of every
     journaled operation (create, load, expand, relinquish, destroy,
-    quarantine, import, all six migration-session calls, and every
+    quarantine, all six migration-session calls, and every
     channel transition — grant, accept, revoke, strike-budget
     degradation, and the implicit revocations on endpoint destroy,
     quarantine and migrate-out commit), model the

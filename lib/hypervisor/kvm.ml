@@ -176,14 +176,6 @@ let create_normal_vm t ~entry_pc ~image =
       in
       load_all image)
 
-(* KVM's stage-2 fault path for a normal VM: the 39,607-cycle
-   composition of §V.C's baseline column. *)
-let kvm_fault_cost c =
-  c.Cost.trap_entry + c.Cost.kvm_save + c.Cost.kvm_dispatch
-  + c.Cost.kvm_memslot + c.Cost.kvm_host_alloc + c.Cost.page_scrub
-  + c.Cost.kvm_map + (3 * c.Cost.page_walk_step) + c.Cost.kvm_fence
-  + c.Cost.kvm_restore + c.Cost.xret
-
 let handle_nvm_fault t nvm gpa =
   let page_gpa = Xword.align_down gpa 4096L in
   if Zion.Layout.is_shared_gpa page_gpa then begin
@@ -191,7 +183,7 @@ let handle_nvm_fault t nvm gpa =
        in the hypervisor's subtree so the layout matches the CVM case *)
     match Shared_map.map_fresh nvm.nvm_shared ~gpa:page_gpa with
     | Ok _ ->
-        let cycles = kvm_fault_cost t.cost in
+        let cycles = Cost.kvm_fault t.cost in
         charge t "kvm_fault" (cycles - t.cost.Cost.trap_entry);
         t.nvm_faults <- cycles :: t.nvm_faults;
         Ok ()
@@ -205,7 +197,7 @@ let handle_nvm_fault t nvm gpa =
       match Zion.Spt.map_private nvm.spt ~gpa:page_gpa ~pa ~writable:true with
       | Error e -> Error e
       | Ok () ->
-          let cycles = kvm_fault_cost t.cost in
+          let cycles = Cost.kvm_fault t.cost in
           charge t "kvm_fault" (cycles - t.cost.Cost.trap_entry);
           t.nvm_faults <- cycles :: t.nvm_faults;
           Ok ()

@@ -2,7 +2,6 @@ type region = { r_cvm : int; r_lo : int64; r_hi : int64; r_name : string }
 
 type t = {
   ival : int;
-  countdown : int array; (* per hart, retired instrs until next sample *)
   context : int array; (* per hart, owning CVM id (-1 = host) *)
   hits : (int * int64, int ref) Hashtbl.t; (* (cvm, page) -> count *)
   (* Last-bucket memo per hart: loops sample the same (cvm, page) over
@@ -20,7 +19,6 @@ let create ?(interval = 64) ~nharts () =
   if nharts <= 0 then invalid_arg "Profile.create: non-positive nharts";
   {
     ival = interval;
-    countdown = Array.make nharts interval;
     context = Array.make nharts (-1);
     hits = Hashtbl.create 64;
     last_cvm = Array.make nharts (-1);
@@ -60,18 +58,6 @@ let record t ~hart ~pc =
       t.last_count.(hart) <- r
     end;
     t.total <- t.total + 1
-  end
-
-(* The non-expiry path — decrement, compare, store — must not
-   allocate. *)
-let sample t ~hart ~pc =
-  if hart >= 0 && hart < Array.length t.countdown then begin
-    let c = t.countdown.(hart) - 1 in
-    if c > 0 then t.countdown.(hart) <- c
-    else begin
-      t.countdown.(hart) <- t.ival;
-      record t ~hart ~pc
-    end
   end
 
 let set_context t ~hart ~cvm =
@@ -139,5 +125,4 @@ let pp fmt t =
 
 let reset t =
   Hashtbl.reset t.hits;
-  Array.fill t.countdown 0 (Array.length t.countdown) t.ival;
   t.total <- 0

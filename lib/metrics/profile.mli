@@ -26,9 +26,6 @@ val create : ?interval:int -> nharts:int -> unit -> t
 
 val interval : t -> int
 
-val sample : t -> hart:int -> pc:int64 -> unit
-(** Count down [hart]'s interval; on expiry, [record] [pc]. *)
-
 val record : t -> hart:int -> pc:int64 -> unit
 (** Record one hit for [pc]'s page under the hart's current CVM
     context. The interpreter keeps each hart's countdown on the hart
@@ -59,6 +56,5 @@ val pp : Format.formatter -> t -> unit
 (** Human-readable hot-pages table. *)
 
 val reset : t -> unit
-(** Zero all buckets and the per-hart countdowns of [sample]; keeps
-    interval, contexts and regions. The interpreter's countdowns live on
-    the harts and are not reset. *)
+(** Zero all buckets; keeps interval, contexts and regions. The
+    countdowns live on the harts and are not reset. *)

@@ -4,16 +4,7 @@ type block_size_point = {
   avg_fault_cycles : float;
 }
 
-(* Fault-cost compositions shared with the monitor (same constants). *)
-let stage1_cost (c : Riscv.Cost.t) =
-  c.Riscv.Cost.trap_entry + c.Riscv.Cost.sm_fault_decode
-  + c.Riscv.Cost.sm_fault_validate + c.Riscv.Cost.page_cache_alloc
-  + c.Riscv.Cost.page_scrub
-  + (3 * c.Riscv.Cost.page_walk_step)
-  + c.Riscv.Cost.gstage_map + c.Riscv.Cost.sm_fault_bookkeeping
-  + c.Riscv.Cost.xret
-
-let stage2_cost c = stage1_cost c + c.Riscv.Cost.block_grab
+let stage2_cost c = Riscv.Cost.sm_fault_base c + c.Riscv.Cost.block_grab
 
 let block_size_sweep ?(pages = 512) () =
   let c = Riscv.Cost.default in
@@ -24,7 +15,7 @@ let block_size_sweep ?(pages = 512) () =
       let stage2 = (pages + pages_per_block - 1) / pages_per_block in
       let stage1 = pages - stage2 in
       let total =
-        (stage1 * stage1_cost c) + (stage2 * stage2_cost c)
+        (stage1 * Riscv.Cost.sm_fault_base c) + (stage2 * stage2_cost c)
       in
       {
         block_kb;
@@ -44,7 +35,8 @@ let page_cache_ablation ?(pages = 512) () =
   let with_cache =
     let stage2 = (pages + 63) / 64 in
     let stage1 = pages - stage2 in
-    float_of_int ((stage1 * stage1_cost c) + (stage2 * stage2_cost c))
+    float_of_int
+      ((stage1 * Riscv.Cost.sm_fault_base c) + (stage2 * stage2_cost c))
     /. float_of_int pages
   in
   let without_cache = float_of_int (stage2_cost c) in

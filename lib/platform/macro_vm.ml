@@ -42,30 +42,14 @@ let add_faults t ~pages =
     let c = t.cost in
     match t.kind with
     | Normal ->
-        (* same composition as Hypervisor.Kvm.kvm_fault_cost *)
-        let kvm =
-          c.Riscv.Cost.trap_entry + c.Riscv.Cost.kvm_save
-          + c.Riscv.Cost.kvm_dispatch + c.Riscv.Cost.kvm_memslot
-          + c.Riscv.Cost.kvm_host_alloc + c.Riscv.Cost.page_scrub
-          + c.Riscv.Cost.kvm_map
-          + (3 * c.Riscv.Cost.page_walk_step)
-          + c.Riscv.Cost.kvm_fence + c.Riscv.Cost.kvm_restore
-          + c.Riscv.Cost.xret
-        in
-        t.fault <- t.fault +. (float_of_int pages *. float_of_int kvm)
+        t.fault <-
+          t.fault
+          +. (float_of_int pages *. float_of_int (Riscv.Cost.kvm_fault c))
     | Confidential ->
-        let base =
-          c.Riscv.Cost.trap_entry + c.Riscv.Cost.sm_fault_decode
-          + c.Riscv.Cost.sm_fault_validate + c.Riscv.Cost.page_cache_alloc
-          + c.Riscv.Cost.page_scrub
-          + (3 * c.Riscv.Cost.page_walk_step)
-          + c.Riscv.Cost.gstage_map + c.Riscv.Cost.sm_fault_bookkeeping
-          + c.Riscv.Cost.xret
-        in
         let block_grabs = pages / 64 in
         t.fault <-
           t.fault
-          +. (float_of_int pages *. float_of_int base)
+          +. (float_of_int pages *. float_of_int (Riscv.Cost.sm_fault_base c))
           +. (float_of_int block_grabs *. float_of_int c.Riscv.Cost.block_grab)
   end
 

@@ -133,6 +133,16 @@ let default =
     hs_mmio_exit = 5000;
   }
 
+let sm_fault_base c =
+  c.trap_entry + c.sm_fault_decode + c.sm_fault_validate + c.page_cache_alloc
+  + c.page_scrub + (3 * c.page_walk_step) + c.gstage_map
+  + c.sm_fault_bookkeeping + c.xret
+
+let kvm_fault c =
+  c.trap_entry + c.kvm_save + c.kvm_dispatch + c.kvm_memslot
+  + c.kvm_host_alloc + c.page_scrub + c.kvm_map + (3 * c.page_walk_step)
+  + c.kvm_fence + c.kvm_restore + c.xret
+
 let to_assoc c =
   [
     ("alu", c.alu);

@@ -97,6 +97,15 @@ val default : t
 val scaled : float -> t
 (** [scaled f] multiplies every constant by [f] (sensitivity studies). *)
 
+val sm_fault_base : t -> int
+(** The SM's stage-1 stage-2-fault path (§V.C): trap, decode, validate,
+    pop a page from the vCPU cache, scrub it, walk, map, return. A
+    stage-2 fault adds [block_grab]. *)
+
+val kvm_fault : t -> int
+(** KVM's stage-2 fault path for a normal VM: the 39,607-cycle baseline
+    column of §V.C. *)
+
 val to_assoc : t -> (string * int) list
 (** Every field as a [(name, cycles)] pair, in declaration order — for
     machine-readable dumps ([zionctl costs --json]). *)

@@ -69,6 +69,12 @@ let totality_tests =
       | 1 -> String.init (rint next 64) (fun _ -> Char.chr (rint next 256))
       | _ -> "ZMIG1" ^ String.init (rint next 256) (fun _ -> Char.chr (rint next 256))
     in
+    let fuzz_session () =
+      match rint next 3 with
+      | 0 -> Printf.sprintf "s%d" (rint next 4) (* often a live session *)
+      | 1 -> ""
+      | _ -> String.init (rint next 80) (fun _ -> Char.chr (rint next 256))
+    in
     [
       ( "register_secure_region",
         fun () ->
@@ -114,10 +120,16 @@ let totality_tests =
                ~vcpu:(rint next 4 - 1)
                ~reg:(rint next 40 - 2)
                (next ())) );
-      ( "export_cvm",
-        fun () -> ignore (Zion.Monitor.export_cvm mon ~cvm:(fuzz_id ())) );
-      ( "import_cvm",
-        fun () -> ignore (Zion.Monitor.import_cvm mon (fuzz_blob ())) );
+      ( "migrate_out_begin",
+        fun () ->
+          ignore
+            (Zion.Monitor.migrate_out_begin mon ~cvm:(fuzz_id ())
+               ~session:(fuzz_session ())) );
+      ( "migrate_in_prepare",
+        fun () ->
+          ignore
+            (Zion.Monitor.migrate_in_prepare mon ~session:(fuzz_session ())
+               ~epoch:(rint next 6 - 2) (fuzz_blob ())) );
       ( "destroy_cvm",
         fun () -> ignore (Zion.Monitor.destroy_cvm mon ~cvm:(fuzz_id ())) );
     ]
@@ -154,8 +166,8 @@ let totality_tests =
       ("run_vcpu", 106);
       ("get_vcpu_reg", 107);
       ("set_vcpu_reg", 108);
-      ("export_cvm", 109);
-      ("import_cvm", 110);
+      ("migrate_out_begin", 109);
+      ("migrate_in_prepare", 110);
       ("destroy_cvm", 111);
     ]
 
@@ -179,7 +191,10 @@ let mixed_totality_test =
               (Zion.Monitor.run_vcpu mon ~hart:0 ~cvm:(rint next 8) ~vcpu:0
                  ~max_steps:200));
           (fun () -> ignore (Zion.Monitor.destroy_cvm mon ~cvm:(rint next 8)));
-          (fun () -> ignore (Zion.Monitor.export_cvm mon ~cvm:(rint next 8)));
+          (fun () ->
+            ignore
+              (Zion.Monitor.migrate_out_begin mon ~cvm:(rint next 8)
+                 ~session:(Printf.sprintf "m%d" (rint next 4))));
         |]
       in
       for _ = 1 to 2000 do
@@ -249,7 +264,8 @@ let quarantine_tests =
           = Error Zion.Ecall.Quarantined);
         Alcotest.(check bool)
           "export refused" true
-          (Zion.Monitor.export_cvm mon ~cvm:id = Error Zion.Ecall.Quarantined);
+          (Zion.Monitor.migrate_out_begin mon ~cvm:id ~session:"q"
+          = Error Zion.Ecall.Quarantined);
         Alcotest.(check bool)
           "get_reg refused" true
           (Zion.Monitor.get_vcpu_reg mon ~cvm:id ~vcpu:0 ~reg:0

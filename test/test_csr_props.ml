@@ -252,7 +252,7 @@ let migrate_props =
                 page_seeds;
           }
         in
-        match Zion.Migrate.unseal (Zion.Migrate.seal im) with
+        match Zion.Migrate.unseal (Zion.Migrate.seal ~nonce:"prop" im) with
         | Error _ -> false
         | Ok im' ->
             im'.Zion.Migrate.im_pages = im.Zion.Migrate.im_pages

@@ -510,19 +510,15 @@ let attack_tests =
   [
     Alcotest.test_case "ring-poison attack vectors are all blocked" `Quick
       (fun () ->
+        Alcotest.(check int)
+          "six vectors" 6
+          (List.length Hypervisor.Attacks.ring_vectors);
         List.iter
           (fun (name, attack) ->
             let _, _, kvm = make_stack () in
             let h = make_guest kvm (Guest.Gprog.hello "x") in
             check_blocked name (attack kvm h))
-          [
-            ("desc_gpa", Hypervisor.Attacks.ring_poison_desc_gpa);
-            ("desc_len", Hypervisor.Attacks.ring_poison_desc_len);
-            ("used_rewind", Hypervisor.Attacks.ring_used_rewind);
-            ("used_replay", Hypervisor.Attacks.ring_used_replay);
-            ("used_dup_in_batch", Hypervisor.Attacks.ring_used_dup_in_batch);
-            ("avail_runaway", Hypervisor.Attacks.ring_avail_runaway);
-          ])
+          Hypervisor.Attacks.ring_vectors)
   ]
 
 (* ---------- health / counters surfacing ---------- *)

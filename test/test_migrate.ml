@@ -1,4 +1,5 @@
-(* CVM migration (export/import) and guest page relinquish. *)
+(* CVM migration (blob format, session handoff) and guest page
+   relinquish. *)
 
 open Riscv
 
@@ -46,11 +47,17 @@ let sample_image () =
       [ (0x10000L, String.make 4096 'a'); (0x11000L, String.make 4096 'b') ];
   }
 
+let nonce = "format-test"
+
+let ok = function
+  | Ok v -> v
+  | Error e -> Alcotest.fail (Zion.Ecall.error_to_string e)
+
 let format_tests =
   [
     Alcotest.test_case "seal/unseal round-trips" `Quick (fun () ->
         let im = sample_image () in
-        match Zion.Migrate.unseal (Zion.Migrate.seal im) with
+        match Zion.Migrate.unseal (Zion.Migrate.seal ~nonce im) with
         | Error e -> Alcotest.fail e
         | Ok im' ->
             Alcotest.(check int)
@@ -68,7 +75,7 @@ let format_tests =
     Alcotest.test_case "blob is opaque (no plaintext leaks)" `Quick
       (fun () ->
         let im = sample_image () in
-        let blob = Zion.Migrate.seal im in
+        let blob = Zion.Migrate.seal ~nonce im in
         (* the page fill bytes must not appear in the blob *)
         let contains_run c n =
           let run = String.make n c in
@@ -80,7 +87,7 @@ let format_tests =
         in
         Alcotest.(check bool) "no 64-byte 'a' run" false (contains_run 'a' 64));
     Alcotest.test_case "any single-byte flip is rejected" `Quick (fun () ->
-        let blob = Zion.Migrate.seal (sample_image ()) in
+        let blob = Zion.Migrate.seal ~nonce (sample_image ()) in
         (* flip a byte in the middle of the ciphertext and at the tag *)
         List.iter
           (fun pos ->
@@ -97,7 +104,9 @@ let format_tests =
         (* Bytes 5..8 hold the payload length. The sample payload leaves
            8 bytes of cipher padding, so a length raised by up to 8
            still parses unless the tag covers the field. *)
-        let blob = Bytes.of_string (Zion.Migrate.seal (sample_image ())) in
+        let blob =
+          Bytes.of_string (Zion.Migrate.seal ~nonce (sample_image ()))
+        in
         let len = Int32.to_int (Bytes.get_int32_le blob 5) in
         Alcotest.(check int) "padding to grow into" 8 (16 - (len mod 16));
         List.iter
@@ -110,23 +119,32 @@ let format_tests =
               (Result.is_error (Zion.Migrate.unseal (Bytes.to_string b))))
           [ 1; 8; -1 ]);
     Alcotest.test_case "truncation is rejected" `Quick (fun () ->
-        let blob = Zion.Migrate.seal (sample_image ()) in
+        let blob = Zion.Migrate.seal ~nonce (sample_image ()) in
         Alcotest.(check bool)
           "short" true
           (Result.is_error
              (Zion.Migrate.unseal (String.sub blob 0 (String.length blob / 2)))));
     Alcotest.test_case "repeated exports are unlinkable" `Quick (fun () ->
-        (* Two seals of an unchanged image must not be byte-identical:
-           a deterministic export would let the host correlate
-           snapshots. Pinning the nonce restores determinism (the
-           migration protocol relies on that for crash recovery). *)
-        let im = sample_image () in
-        let b1 = Zion.Migrate.seal im and b2 = Zion.Migrate.seal im in
+        (* Two sessions of an unchanged CVM must not yield byte-identical
+           blobs: a deterministic export would let the host correlate
+           snapshots. The monitor draws each session's nonce from its
+           DRBG. Pinning the nonce restores determinism (a session's
+           recovery re-begin relies on that). *)
+        let _, mon = make_platform () in
+        let id = make_cvm mon (Guest.Gprog.hello "x") in
+        let b1, _ =
+          ok (Zion.Monitor.migrate_out_begin mon ~cvm:id ~session:"first")
+        in
+        ok (Zion.Monitor.migrate_out_abort mon ~session:"first");
+        let b2, _ =
+          ok (Zion.Monitor.migrate_out_begin mon ~cvm:id ~session:"second")
+        in
         Alcotest.(check bool) "fresh nonces differ" false (String.equal b1 b2);
         Alcotest.(check bool)
           "both verify" true
           (Result.is_ok (Zion.Migrate.unseal b1)
           && Result.is_ok (Zion.Migrate.unseal b2));
+        let im = sample_image () in
         let p1 = Zion.Migrate.seal ~nonce:"pin" im
         and p2 = Zion.Migrate.seal ~nonce:"pin" im in
         Alcotest.(check bool) "pinned nonce is stable" true (String.equal p1 p2));
@@ -169,23 +187,22 @@ let migration_tests =
         Alcotest.(check string)
           "source printed only S" "S"
           (Zion.Monitor.console_output mon_a);
-        (* export, destroy the source, import on a fresh platform *)
-        let blob =
-          match Zion.Monitor.export_cvm mon_a ~cvm:id_a with
-          | Ok b -> b
-          | Error e -> Alcotest.fail (Zion.Ecall.error_to_string e)
-        in
+        (* hand off through the session protocol: the commit point
+           scrubs the source *)
         let m_src = Zion.Monitor.cvm_measurement mon_a ~cvm:id_a in
-        (match Zion.Monitor.destroy_cvm mon_a ~cvm:id_a with
-        | Ok () -> ()
-        | Error e -> Alcotest.fail (Zion.Ecall.error_to_string e));
-        let machine_b, mon_b = make_platform () in
-        ignore machine_b;
+        let _, mon_b = make_platform () in
         let id_b =
-          match Zion.Monitor.import_cvm mon_b blob with
-          | Ok id -> id
-          | Error e -> Alcotest.fail (Zion.Ecall.error_to_string e)
+          match
+            Hypervisor.Migrator.run ~src:mon_a ~dst:mon_b ~cvm:id_a
+              ~session:"mid-run" ()
+          with
+          | Ok (Hypervisor.Migrator.Committed id, _) -> id
+          | Ok (Hypervisor.Migrator.Aborted r, _) -> Alcotest.fail r
+          | Error e -> Alcotest.fail e
         in
+        Alcotest.(check bool)
+          "source destroyed" true
+          (Zion.Monitor.cvm_state mon_a ~cvm:id_a = Some Zion.Cvm.Destroyed);
         Alcotest.(check bool)
           "measurement travelled" true
           (Zion.Monitor.cvm_measurement mon_b ~cvm:id_b = m_src);
@@ -204,14 +221,17 @@ let migration_tests =
       (fun () ->
         let _, mon_a = make_platform () in
         let id = make_cvm mon_a (Guest.Gprog.hello "x") in
-        let blob = Result.get_ok (Zion.Monitor.export_cvm mon_a ~cvm:id) in
+        let blob, epoch =
+          ok (Zion.Monitor.migrate_out_begin mon_a ~cvm:id ~session:"t")
+        in
         let b = Bytes.of_string blob in
         Bytes.set b (Bytes.length b - 5)
           (Char.chr (Char.code (Bytes.get b (Bytes.length b - 5)) lxor 1));
         let _, mon_b = make_platform () in
         Alcotest.(check bool)
           "denied" true
-          (Zion.Monitor.import_cvm mon_b (Bytes.to_string b)
+          (Zion.Monitor.migrate_in_prepare mon_b ~session:"t" ~epoch
+             (Bytes.to_string b)
           = Error Zion.Ecall.Denied));
     Alcotest.test_case "export of a running CVM is refused" `Quick
       (fun () ->
@@ -223,7 +243,8 @@ let migration_tests =
         (* Created (not finalized): refuse *)
         Alcotest.(check bool)
           "bad state" true
-          (Zion.Monitor.export_cvm mon ~cvm:id = Error Zion.Ecall.Bad_state));
+          (Zion.Monitor.migrate_out_begin mon ~cvm:id ~session:"r"
+          = Error Zion.Ecall.Bad_state));
   ]
 
 (* ---------- guest relinquish ---------- *)

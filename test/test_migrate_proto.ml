@@ -247,22 +247,48 @@ let proto_tests =
     Alcotest.test_case "replay of a committed session is rejected" `Quick
       (fun () ->
         let src = make_platform () and dst = make_platform () in
-        let cvm, session, r = run_migration (src, dst) in
+        let _, session, r = run_migration (src, dst) in
         (match r with
         | Ok (Mg.Committed _, _) -> ()
         | _ -> Alcotest.fail "setup migration failed");
-        ignore cvm;
+        let ok = function
+          | Ok v -> v
+          | Error e -> Alcotest.fail (Zion.Ecall.error_to_string e)
+        in
+        let denied what = function
+          | Error Zion.Ecall.Denied -> ()
+          | Error e ->
+              Alcotest.failf "%s: wrong error: %s" what
+                (Zion.Ecall.error_to_string e)
+          | Ok _ -> Alcotest.failf "%s accepted" what
+        in
         (* fresh, valid blob from another CVM, replayed under the
            committed session id: must be refused *)
         let other = make_cvm src in
-        let blob = Result.get_ok (Zion.Monitor.export_cvm src ~cvm:other) in
-        (match
-           Zion.Monitor.migrate_in_prepare dst ~session ~epoch:99 blob
-         with
-        | Error Zion.Ecall.Denied -> ()
-        | Error e ->
-            Alcotest.failf "wrong error: %s" (Zion.Ecall.error_to_string e)
-        | Ok _ -> Alcotest.fail "replayed session accepted");
+        let blob, epoch =
+          ok (Zion.Monitor.migrate_out_begin src ~cvm:other ~session:"direct")
+        in
+        denied "replayed session"
+          (Zion.Monitor.migrate_in_prepare dst ~session ~epoch:99 blob);
+        (* hand that blob off; a re-prepare of its own session at a newer
+           epoch (a source recovery re-begin) is still accepted *)
+        ignore
+          (ok
+             (Zion.Monitor.migrate_in_prepare dst ~session:"direct" ~epoch
+                blob));
+        ignore
+          (ok
+             (Zion.Monitor.migrate_in_prepare dst ~session:"direct"
+                ~epoch:(epoch + 1) blob));
+        ok (Zion.Monitor.migrate_out_commit src ~session:"direct");
+        ignore (ok (Zion.Monitor.migrate_in_commit dst ~session:"direct"));
+        (* the committed blob replayed under a fresh session id would be
+           a second live copy: refused before anything is allocated *)
+        let free () = Zion.Secmem.free_blocks (Zion.Monitor.secmem dst) in
+        let free0 = free () in
+        denied "replayed blob"
+          (Zion.Monitor.migrate_in_prepare dst ~session:"s-replay" ~epoch blob);
+        Alcotest.(check int) "nothing allocated" free0 (free ());
         check_audit "dst" dst)
     ;
     Alcotest.test_case "over-budget stall report is rejected, not recorded"

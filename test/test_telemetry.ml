@@ -159,6 +159,28 @@ let trace_tests =
           (Metrics.Trace.coalesced tr));
   ]
 
+let make_platform () =
+  let machine = Machine.create ~dram_size:(mib 64) () in
+  let mon = Zion.Monitor.create machine in
+  (match
+     Zion.Monitor.register_secure_region mon
+       ~base:(Int64.add Bus.dram_base (mib 32))
+       ~size:(mib 8)
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail (Zion.Ecall.error_to_string e));
+  mon
+
+let make_cvm ?(image = String.make 4096 'i') mon =
+  let id =
+    Result.get_ok (Zion.Monitor.create_cvm mon ~nvcpus:1 ~entry_pc:0x10000L)
+  in
+  (match Zion.Monitor.load_image mon ~cvm:id ~gpa:0x10000L image with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail (Zion.Ecall.error_to_string e));
+  ignore (Zion.Monitor.finalize_cvm mon ~cvm:id);
+  id
+
 (* ---------- overhead contracts: disabled paths allocate nothing ---------- *)
 
 (* Allocation must not scale with the number of operations: a loose
@@ -196,10 +218,30 @@ let overhead_tests =
         Alcotest.(check int) "nothing recorded" 0 (Metrics.Trace.recorded tr));
     Alcotest.test_case "profiler non-expiry samples allocate nothing" `Quick
       (fun () ->
-        let p = Metrics.Profile.create ~interval:1_000_000 ~nharts:2 () in
-        Metrics.Profile.set_context p ~hart:0 ~cvm:1;
-        assert_no_alloc_per_op "sample" (fun () ->
-            Metrics.Profile.sample p ~hart:0 ~pc:0x10000L);
+        (* The interpreter's countdown: the same steps allocate exactly
+           the same minor words with the profiler armed (interval never
+           expiring) as with it off. *)
+        let m = Machine.create ~dram_size:(mib 8) () in
+        let hart = Machine.hart m 0 in
+        Machine.load_program m Bus.dram_base
+          [
+            Decode.Op_imm (Decode.Add, Asm.t0, Asm.t0, 1L); Decode.Jal (0, -4L);
+          ];
+        hart.Hart.pc <- Bus.dram_base;
+        let words () =
+          let before = Gc.minor_words () in
+          ignore (Exec.run hart ~max_steps:10_000);
+          Gc.minor_words () -. before
+        in
+        ignore (words ());
+        let off = words () in
+        let p = Metrics.Profile.create ~interval:1_000_000 ~nharts:1 () in
+        hart.Hart.sample_in <- Metrics.Profile.interval p;
+        Exec.profile := Some p;
+        let armed =
+          Fun.protect ~finally:(fun () -> Exec.profile := None) words
+        in
+        Alcotest.(check (float 0.)) "same minor words" off armed;
         Alcotest.(check int) "interval not yet expired" 0
           (Metrics.Profile.samples p));
   ]
@@ -208,24 +250,53 @@ let overhead_tests =
 
 let profile_tests =
   [
-    Alcotest.test_case "samples every interval-th call" `Quick (fun () ->
-        let p = Metrics.Profile.create ~interval:10 ~nharts:1 () in
-        for _ = 1 to 95 do
-          Metrics.Profile.sample p ~hart:0 ~pc:0x12345L
-        done;
-        Alcotest.(check int) "9 expiries in 95 calls" 9
-          (Metrics.Profile.samples p));
+    Alcotest.test_case "samples every interval-th retired instruction" `Quick
+      (fun () ->
+        let mon = make_platform () in
+        let loop =
+          Asm.li Asm.t0 1000L
+          @ [
+              Decode.Op_imm (Decode.Add, Asm.t0, Asm.t0, -1L);
+              Decode.Branch (Decode.Bne, Asm.t0, 0, -4L);
+            ]
+          @ Guest.Gprog.shutdown
+        in
+        let id = make_cvm ~image:(Asm.program loop) mon in
+        (* k must not divide N: for N = m·k, a countdown left unarmed
+           at enable (first sample on the first instruction) gives the
+           same count *)
+        let k = 9 in
+        Zion.Monitor.enable_profiler ~interval:k mon;
+        let h = Machine.hart (Zion.Monitor.machine mon) 0 in
+        let before = h.Hart.csr.Csr.minstret in
+        Fun.protect
+          ~finally:(fun () -> Zion.Monitor.disable_profiler mon)
+          (fun () ->
+            match
+              Zion.Monitor.run_vcpu mon ~hart:0 ~cvm:id ~vcpu:0
+                ~max_steps:100_000
+            with
+            | Ok Zion.Monitor.Exit_shutdown -> ()
+            | _ -> Alcotest.fail "no shutdown");
+        let n = Int64.to_int (Int64.sub h.Hart.csr.Csr.minstret before) in
+        Alcotest.(check bool) "the loop retired" true (n > 2000);
+        Alcotest.(check bool) "k does not divide N" true (n mod k <> 0);
+        match Zion.Monitor.profiler mon with
+        | Some p ->
+            Alcotest.(check int) "floor(N/k) samples" (n / k)
+              (Metrics.Profile.samples p)
+        | None -> Alcotest.fail "profiler missing");
     Alcotest.test_case "buckets by context and code page" `Quick (fun () ->
-        let p = Metrics.Profile.create ~interval:1 ~nharts:2 () in
+        let p = Metrics.Profile.create ~nharts:2 () in
         Metrics.Profile.set_context p ~hart:0 ~cvm:1;
         for _ = 1 to 5 do
-          Metrics.Profile.sample p ~hart:0 ~pc:0x10008L
+          Metrics.Profile.record p ~hart:0 ~pc:0x10008L
         done;
         for _ = 1 to 3 do
-          Metrics.Profile.sample p ~hart:0 ~pc:0x11ff8L
+          Metrics.Profile.record p ~hart:0 ~pc:0x11ff8L
         done;
         Metrics.Profile.set_context p ~hart:0 ~cvm:(-1);
-        Metrics.Profile.sample p ~hart:0 ~pc:0x8000_0000L;
+        Metrics.Profile.record p ~hart:0 ~pc:0x8000_0000L;
         Metrics.Profile.add_region p ~cvm:1 ~lo:0x10000L ~hi:0x12000L
           "guest.text";
         (match Metrics.Profile.top_pages ~k:10 p with
@@ -245,8 +316,8 @@ let profile_tests =
              (fun l -> String.length l >= 5 && String.sub l 0 5 = "host;")
              (String.split_on_char '\n' folded)));
     Alcotest.test_case "reset clears hits but keeps regions" `Quick (fun () ->
-        let p = Metrics.Profile.create ~interval:1 ~nharts:1 () in
-        Metrics.Profile.sample p ~hart:0 ~pc:0x4000L;
+        let p = Metrics.Profile.create ~nharts:1 () in
+        Metrics.Profile.record p ~hart:0 ~pc:0x4000L;
         Metrics.Profile.reset p;
         Alcotest.(check int) "no samples" 0 (Metrics.Profile.samples p);
         Alcotest.(check int) "no pages" 0
@@ -433,30 +504,6 @@ let export_tests =
   ]
 
 (* ---------- per-tenant health rollups ---------- *)
-
-let make_platform () =
-  let machine = Machine.create ~dram_size:(mib 64) () in
-  let mon = Zion.Monitor.create machine in
-  (match
-     Zion.Monitor.register_secure_region mon
-       ~base:(Int64.add Bus.dram_base (mib 32))
-       ~size:(mib 8)
-   with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail (Zion.Ecall.error_to_string e));
-  mon
-
-let make_cvm mon =
-  let id =
-    Result.get_ok (Zion.Monitor.create_cvm mon ~nvcpus:1 ~entry_pc:0x10000L)
-  in
-  (match
-     Zion.Monitor.load_image mon ~cvm:id ~gpa:0x10000L (String.make 4096 'i')
-   with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail (Zion.Ecall.error_to_string e));
-  ignore (Zion.Monitor.finalize_cvm mon ~cvm:id);
-  id
 
 let health_tests =
   [
