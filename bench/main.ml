@@ -1,15 +1,46 @@
 (* ZION benchmark harness: regenerates every table and figure of the
-   paper's evaluation section (§V), prints paper-vs-measured rows, and
-   finishes with wall-clock microbenchmarks of the simulator itself
-   (Bechamel).
+   paper's evaluation section (§V), prints paper-vs-measured rows, runs
+   the reproduction's micro benches and finishes with wall-clock
+   microbenchmarks of the simulator itself (Bechamel).
 
-   Usage: dune exec bench/main.exe [-- --quick]
-   --quick shrinks the Redis request counts for fast CI runs. *)
+   Usage: dune exec bench/main.exe -- [--quick] [SECTION ...]
+   SECTIONs are the names in [sections] below, which is also the run
+   order; with none, every section runs, and an unknown name exits 2.
+   --quick shrinks the Redis request counts, the simulator A/B and the
+   channel ping-pong for fast CI runs. Micro benches write their
+   results to BENCH_<name>.json; every gate is checked here, and the
+   run exits 1 if any gate failed. *)
 
 let quick = Array.exists (fun a -> a = "--quick") Sys.argv
 
 let fixed = Metrics.Table.fixed
 let pct = Metrics.Table.signed_pct
+
+(* ---------- gates and result files ---------- *)
+
+let failed_gates = ref []
+
+(* The one place a pass/fail check is made. *)
+let gate name ok detail =
+  if ok then Printf.printf "gate %s: OK\n" name
+  else begin
+    Printf.printf "FAIL: %s: %s\n" name detail;
+    failed_gates := name :: !failed_gates
+  end
+
+let gate_shutdown what outcome =
+  gate (what ^ " shuts down")
+    (outcome = Hypervisor.Kvm.C_shutdown)
+    "guest did not reach its shutdown ecall"
+
+let num = Metrics.Export.num_of_int
+
+let write_result file v =
+  let oc = open_out file in
+  output_string oc (Metrics.Export.json_to_string v);
+  output_char oc '\n';
+  close_out oc;
+  Printf.printf "wrote %s\n" file
 
 (* ---------- §V.B.1 / §V.B.2 : switch experiments ---------- *)
 
@@ -100,22 +131,19 @@ let bench_switches () =
 
 (* ---------- TLB retention fast path vs paper-faithful flush ---------- *)
 
-(* Timer-switch storm under both TLB modes. Emits BENCH_switch.json so
-   CI can diff the fast path against the paper-faithful baseline, and
-   asserts the modeled saving: retention drops one tlb_full_flush from
+(* Timer-switch storm under both TLB modes. Emits BENCH_switch.json and
+   gates on the modeled saving: retention drops one tlb_full_flush from
    each direction of the switch. *)
 let bench_tlb_retention () =
   Metrics.Table.section
     "TLB retention — VMID-tagged fast path vs flush-on-every-switch";
-  let iterations = 200 in
-  let faithful =
-    Platform.Exp_switch.measure_retention_switches ~tlb_retention:false
-      ~iterations
+  let measure tlb_retention =
+    Platform.Exp_switch.measure_timer_switches
+      ~config:{ Zion.Monitor.default_config with tlb_retention }
+      ~iterations:200
   in
-  let retained =
-    Platform.Exp_switch.measure_retention_switches ~tlb_retention:true
-      ~iterations
-  in
+  let faithful = measure false in
+  let retained = measure true in
   let row name (m : Platform.Exp_switch.mode_stats) =
     let sw = m.Platform.Exp_switch.sw and tlb = m.Platform.Exp_switch.tlb in
     [
@@ -144,45 +172,32 @@ let bench_tlb_retention () =
     "steady-state entry+exit saving: %.0f cycles (expected >= %d: two \
      tlb_full_flush charges)\n"
     drop want;
-  let mode_json name (m : Platform.Exp_switch.mode_stats) =
-    let sw = m.Platform.Exp_switch.sw and tlb = m.Platform.Exp_switch.tlb in
-    let total mean = int_of_float (mean *. float_of_int sw.Platform.Exp_switch.samples) in
-    Printf.sprintf
-      {|    "%s": {
-      "samples": %d,
-      "entry_mean_cycles": %.1f,
-      "exit_mean_cycles": %.1f,
-      "entry_total_cycles": %d,
-      "exit_total_cycles": %d,
-      "tlb_hits": %d,
-      "tlb_misses": %d,
-      "tlb_flushes": %d,
-      "tlb_hit_rate": %.4f
-    }|}
-      name sw.Platform.Exp_switch.samples sw.Platform.Exp_switch.entry_mean
-      sw.Platform.Exp_switch.exit_mean
-      (total sw.Platform.Exp_switch.entry_mean)
-      (total sw.Platform.Exp_switch.exit_mean)
-      tlb.Platform.Exp_switch.tlb_hits tlb.Platform.Exp_switch.tlb_misses
-      tlb.Platform.Exp_switch.tlb_flushes
-      tlb.Platform.Exp_switch.tlb_hit_rate
+  let mode_json (m : Platform.Exp_switch.mode_stats) =
+    let open Platform.Exp_switch in
+    let total mean = num (int_of_float (mean *. float_of_int m.sw.samples)) in
+    Metrics.Export.Obj
+      [
+        ("samples", num m.sw.samples);
+        ("entry_mean_cycles", Num m.sw.entry_mean);
+        ("exit_mean_cycles", Num m.sw.exit_mean);
+        ("entry_total_cycles", total m.sw.entry_mean);
+        ("exit_total_cycles", total m.sw.exit_mean);
+        ("tlb_hits", num m.tlb.tlb_hits);
+        ("tlb_misses", num m.tlb.tlb_misses);
+        ("tlb_flushes", num m.tlb.tlb_flushes);
+        ("tlb_hit_rate", Num m.tlb.tlb_hit_rate);
+      ]
   in
-  let json =
-    Printf.sprintf "{\n%s,\n%s,\n    \"pair_saving_cycles\": %.1f\n}\n"
-      (mode_json "faithful" faithful)
-      (mode_json "retained" retained)
-      drop
-  in
-  let oc = open_out "BENCH_switch.json" in
-  output_string oc json;
-  close_out oc;
-  print_endline "wrote BENCH_switch.json";
-  if drop < float_of_int want then begin
-    Printf.printf
-      "FAIL: retention fast path saved only %.0f cycles (< %d)\n" drop want;
-    exit 1
-  end
-  else print_endline "switch fast-path check: OK"
+  write_result "BENCH_switch.json"
+    (Obj
+       [
+         ("faithful", mode_json faithful);
+         ("retained", mode_json retained);
+         ("pair_saving_cycles", Num drop);
+       ]);
+  gate "retention pair saving"
+    (drop >= float_of_int want)
+    (Printf.sprintf "%.0f cycles (< %d)" drop want)
 
 (* ---------- §V.C : stage-2 page-fault handling ---------- *)
 
@@ -237,12 +252,9 @@ let bench_observability () =
   let handle =
     Platform.Testbed.cvm tb (Platform.Exp_switch.mmio_program ~iterations:50)
   in
-  (match
-     Hypervisor.Kvm.run_cvm tb.Platform.Testbed.kvm handle ~hart:0
-       ~max_steps:10_000_000
-   with
-  | Hypervisor.Kvm.C_shutdown -> ()
-  | _ -> print_endline "warning: traced guest did not shut down");
+  gate_shutdown "traced guest"
+    (Hypervisor.Kvm.run_cvm tb.Platform.Testbed.kvm handle ~hart:0
+       ~max_steps:10_000_000);
   print_string (Metrics.Registry.dump (Zion.Monitor.registry mon));
   let tr = Zion.Monitor.trace mon in
   Printf.printf "trace: %d events recorded, %d dropped (capacity %d)\n"
@@ -323,50 +335,37 @@ let bench_profile () =
   Printf.printf "samples: %d (interval %d retired instructions)\n"
     (Metrics.Profile.samples p)
     (Metrics.Profile.interval p);
-  let top =
-    List.map
-      (fun (cvm, page, region, hits) ->
-        Printf.sprintf
-          "    {\"cvm\": %d, \"page\": \"0x%Lx\", \"region\": %s, \
-           \"hits\": %d}"
-          cvm page
-          (match region with
-          | Some r -> Printf.sprintf "%S" r
-          | None -> "null")
-          hits)
-      (Metrics.Profile.top_pages ~k:3 p)
+  let quartiles xs =
+    Metrics.Export.Obj
+      [ ("p25", Num (q 25. xs)); ("median", Num (q 50. xs));
+        ("p75", Num (q 75. xs)) ]
   in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"pairs\": %d,\n\
-      \  \"runs_per_pair\": 4,\n\
-      \  \"steps_per_run\": %d,\n\
-      \  \"off_s\": {\"p25\": %.6f, \"median\": %.6f, \"p75\": %.6f},\n\
-      \  \"on_s\": {\"p25\": %.6f, \"median\": %.6f, \"p75\": %.6f},\n\
-      \  \"overhead_pct\": %.3f,\n\
-      \  \"overhead_pct_p25\": %.3f,\n\
-      \  \"overhead_pct_p75\": %.3f,\n\
-      \  \"samples\": %d,\n\
-      \  \"interval\": %d,\n\
-      \  \"top_pages\": [\n%s\n  ]\n\
-       }\n"
-      pairs steps (q 25. off) (q 50. off) (q 75. off) (q 25. on) (q 50. on)
-      (q 75. on) overhead_pct (q 25. overhead) (q 75. overhead)
-      (Metrics.Profile.samples p)
-      (Metrics.Profile.interval p)
-      (String.concat ",\n" top)
+  let top_page (cvm, page, region, hits) =
+    Metrics.Export.Obj
+      [
+        ("cvm", num cvm);
+        ("page", Str (Printf.sprintf "0x%Lx" page));
+        ("region", match region with Some r -> Str r | None -> Null);
+        ("hits", num hits);
+      ]
   in
-  let oc = open_out "BENCH_profile.json" in
-  output_string oc json;
-  close_out oc;
-  print_endline "wrote BENCH_profile.json";
-  if overhead_pct >= 5. then begin
-    Printf.printf "FAIL: median profiler overhead %.2f%% (>= 5%%)\n"
-      overhead_pct;
-    exit 1
-  end
-  else print_endline "profiler overhead check: OK"
+  write_result "BENCH_profile.json"
+    (Obj
+       [
+         ("pairs", num pairs);
+         ("runs_per_pair", num 4);
+         ("steps_per_run", num steps);
+         ("off_s", quartiles off);
+         ("on_s", quartiles on);
+         ("overhead_pct", Num overhead_pct);
+         ("overhead_pct_p25", Num (q 25. overhead));
+         ("overhead_pct_p75", Num (q 75. overhead));
+         ("samples", num (Metrics.Profile.samples p));
+         ("interval", num (Metrics.Profile.interval p));
+         ("top_pages", List (List.map top_page (Metrics.Profile.top_pages ~k:3 p)));
+       ]);
+  gate "profiler median overhead" (overhead_pct < 5.)
+    (Printf.sprintf "%.2f%% (>= 5%%)" overhead_pct)
 
 (* ---------- Table I : RV8 ---------- *)
 
@@ -424,9 +423,10 @@ let bench_coremark () =
    Table-I rv8 entries are analytic op-count models, so they cannot
    exercise the interpreter; Exp_sim's mixes are real guest loops
    stepped instruction by instruction — once with the fast path off,
-   once on — asserting registers, pc, minstret and the full cycle
-   ledger identical. Emits BENCH_sim.json; CI gates speedup >= 3x per
-   workload. *)
+   once on. Emits BENCH_sim.json and gates each workload on registers,
+   pc, minstret and the full cycle ledger being identical, on a speedup
+   of at least 3x, and on the fast arm's counters showing decode fills
+   and memo hits. *)
 
 let bench_sim () =
   Metrics.Table.section
@@ -450,16 +450,51 @@ let bench_sim () =
            (if r.Platform.Exp_sim.identical then "identical" else "DIVERGED");
          ])
        results);
+  let workload_json (r : Platform.Exp_sim.ab) =
+    let open Platform.Exp_sim in
+    let st = r.fast_stats in
+    Metrics.Export.Obj
+      [
+        ("name", Str (name r.workload));
+        ("baseline_ips", Num r.baseline_ips);
+        ("fast_ips", Num r.fast_ips);
+        ("speedup", Num r.speedup);
+        ("identical", Bool r.identical);
+        ( "fast_path",
+          Obj
+            [
+              ("decode_fills", num st.Riscv.Hart.decode_fills);
+              ("revalidations", num st.Riscv.Hart.revalidations);
+              ("evictions", num st.Riscv.Hart.evictions);
+              ("fetch_memo_hits", num st.Riscv.Hart.fetch_memo_hits);
+              ("load_memo_hits", num st.Riscv.Hart.load_memo_hits);
+              ("store_memo_hits", num st.Riscv.Hart.store_memo_hits);
+            ] );
+      ]
+  in
+  write_result "BENCH_sim.json"
+    (Obj
+       [
+         ("steps_per_run", num steps);
+         ("workloads", List (List.map workload_json results));
+       ]);
   List.iter
     (fun (r : Platform.Exp_sim.ab) ->
-      if not r.Platform.Exp_sim.identical then begin
-        Printf.printf "FAIL: %s diverged between fast and slow stepping\n"
-          (Platform.Exp_sim.name r.Platform.Exp_sim.workload);
-        exit 1
-      end)
-    results;
-  Platform.Exp_sim.write_json "BENCH_sim.json" ~steps results;
-  print_endline "wrote BENCH_sim.json"
+      let open Platform.Exp_sim in
+      let w = name r.workload and st = r.fast_stats in
+      let memo_hits =
+        st.Riscv.Hart.fetch_memo_hits + st.Riscv.Hart.load_memo_hits
+        + st.Riscv.Hart.store_memo_hits
+      in
+      gate (w ^ " fast = slow") r.identical
+        "arch state or ledger diverged between fast and slow stepping";
+      gate (w ^ " speedup >= 3x") (r.speedup >= 3.)
+        (Printf.sprintf "%.2fx" r.speedup);
+      gate (w ^ " fast-path caches in use")
+        (st.Riscv.Hart.decode_fills > 0 && memo_hits > 0)
+        (Printf.sprintf "%d decode fills, %d memo hits"
+           st.Riscv.Hart.decode_fills memo_hits))
+    results
 
 (* ---------- Figure 3 : Redis ---------- *)
 
@@ -566,8 +601,8 @@ let bench_iozone () =
    (MMIO doorbells per 1k requests, exitful vs ring), the event-priced
    iozone/redis deltas with the confidential arm switched to the ring
    path, and the ring-poison sweep summary. Emits BENCH_exitless.json
-   and fails the run if the ring eliminates fewer than 90% of the
-   virtio kicks. *)
+   and gates on the ring eliminating at least 90% of the virtio kicks
+   and on every poison vector being blocked. *)
 let bench_exitless () =
   Metrics.Table.section "Exitless virtio rings — doorbells eliminated";
   let len = 256 in
@@ -581,12 +616,9 @@ let bench_exitless () =
     @ Guest.Gprog.shutdown
   in
   let h_f = Platform.Testbed.cvm tb_f prog_f in
-  (match
-     Hypervisor.Kvm.run_cvm_to_completion tb_f.Platform.Testbed.kvm h_f
-       ~hart:0 ~quantum:Platform.Testbed.quantum_cycles ~max_slices:400
-   with
-  | Hypervisor.Kvm.C_shutdown -> ()
-  | _ -> print_endline "warning: exitful arm did not shut down");
+  gate_shutdown "exitful arm"
+    (Hypervisor.Kvm.run_cvm_to_completion tb_f.Platform.Testbed.kvm h_f
+       ~hart:0 ~quantum:Platform.Testbed.quantum_cycles ~max_slices:400);
   let exitful_exits =
     Hypervisor.Kvm.mmio_exits_serviced tb_f.Platform.Testbed.kvm
   in
@@ -611,21 +643,21 @@ let bench_exitless () =
   (match Hypervisor.Kvm.enable_exitless_io tb_l.Platform.Testbed.kvm h_l with
   | Ok _ -> ()
   | Error e -> failwith ("bench_exitless: " ^ e));
-  (match
-     Hypervisor.Kvm.run_cvm_to_completion tb_l.Platform.Testbed.kvm h_l
-       ~hart:0 ~quantum:100_000 ~max_slices:1000
-   with
-  | Hypervisor.Kvm.C_shutdown -> ()
-  | _ -> print_endline "warning: exitless arm did not shut down");
+  let outcome_l =
+    Hypervisor.Kvm.run_cvm_to_completion tb_l.Platform.Testbed.kvm h_l
+      ~hart:0 ~quantum:100_000 ~max_slices:1000
+  in
+  gate_shutdown "exitless arm" outcome_l;
   let exitless_exits =
     Hypervisor.Kvm.mmio_exits_serviced tb_l.Platform.Testbed.kvm
   in
-  let suppressed =
+  let io_counter name =
     Metrics.Registry.counter
       ~scope:(Metrics.Registry.Cvm (Hypervisor.Kvm.cvm_id h_l))
       (Zion.Monitor.registry tb_l.Platform.Testbed.monitor)
-      "sm.io.kicks_suppressed"
+      ("sm.io." ^ name)
   in
+  let suppressed = io_counter "kicks_suppressed" in
   let notifications =
     match Hypervisor.Kvm.exitless_host tb_l.Platform.Testbed.kvm h_l with
     | Some host -> Hypervisor.Virtio_ring.notifications host
@@ -663,6 +695,7 @@ let bench_exitless () =
          (List.map (fun p -> p.Platform.Exp_iozone.cvm_mb_s) pts))
   in
   let io_f = mean_cvm io_points and io_l = mean_cvm io_points_l in
+  let gain_pct = (io_l -. io_f) /. io_f *. 100. in
   let rounds, reqs = if quick then (2, 1000) else (10, 10_000) in
   let redis_f = Platform.Exp_redis.run ~rounds ~requests:reqs () in
   let redis_l =
@@ -674,9 +707,7 @@ let bench_exitless () =
   Printf.printf
     "iozone CVM mean: %.2f -> %.2f MB/s (+%.2f%%); redis CVM throughput \
      drop: %.2f%% -> %.2f%%\n"
-    io_f io_l
-    ((io_l -. io_f) /. io_f *. 100.)
-    drop_f drop_l;
+    io_f io_l gain_pct drop_f drop_l;
   (* Ring-poison sweep: every packaged vector against a fresh stack. *)
   let vectors = Hypervisor.Attacks.ring_vectors in
   let blocked = ref 0 in
@@ -691,53 +722,49 @@ let bench_exitless () =
       | Hypervisor.Attacks.Leaked why ->
           Printf.printf "  poison %-17s LEAKED: %s\n" name why)
     vectors;
-  let json =
-    Printf.sprintf
-      {|{
-  "micro": {
-    "requests": %d,
-    "exitful_mmio_exits": %d,
-    "exitless_mmio_exits": %d,
-    "exitful_exits_per_1k": %.1f,
-    "exitless_exits_per_1k": %.1f,
-    "kick_reduction_pct": %.2f,
-    "kicks_suppressed": %d,
-    "used_publishes": %d
-  },
-  "iozone": {
-    "cvm_mean_mb_s_exitful": %.3f,
-    "cvm_mean_mb_s_exitless": %.3f,
-    "gain_pct": %.3f
-  },
-  "redis": {
-    "throughput_drop_pct_exitful": %.3f,
-    "throughput_drop_pct_exitless": %.3f
-  },
-  "poison_sweep": {
-    "vectors": %d,
-    "blocked": %d
-  }
-}
-|}
-      requests exitful_exits exitless_exits (per_1k exitful_exits)
-      (per_1k exitless_exits) reduction suppressed notifications io_f io_l
-      ((io_l -. io_f) /. io_f *. 100.)
-      drop_f drop_l (List.length vectors) !blocked
-  in
-  let oc = open_out "BENCH_exitless.json" in
-  output_string oc json;
-  close_out oc;
-  print_endline "wrote BENCH_exitless.json";
-  if reduction < 90. then begin
-    Printf.printf "FAIL: exitless ring eliminated only %.1f%% of kicks (< 90%%)\n"
-      reduction;
-    exit 1
-  end;
-  if !blocked <> List.length vectors then begin
-    print_endline "FAIL: a ring-poison vector was not blocked";
-    exit 1
-  end;
-  print_endline "exitless ring checks: OK"
+  write_result "BENCH_exitless.json"
+    (Obj
+       [
+         ( "micro",
+           Obj
+             [
+               ("requests", num requests);
+               ("exitful_mmio_exits", num exitful_exits);
+               ("exitless_mmio_exits", num exitless_exits);
+               ("exitful_exits_per_1k", Num (per_1k exitful_exits));
+               ("exitless_exits_per_1k", Num (per_1k exitless_exits));
+               ("kick_reduction_pct", Num reduction);
+               ("kicks_suppressed", num suppressed);
+               ("used_publishes", num notifications);
+               ("completed", Bool (outcome_l = Hypervisor.Kvm.C_shutdown));
+               ("cal_rejections", num (io_counter "cal_rejections"));
+               ("fallbacks", num (io_counter "fallbacks"));
+             ] );
+         ( "iozone",
+           Obj
+             [
+               ("cvm_mean_mb_s_exitful", Num io_f);
+               ("cvm_mean_mb_s_exitless", Num io_l);
+               ("gain_pct", Num gain_pct);
+             ] );
+         ( "redis",
+           Obj
+             [
+               ("throughput_drop_pct_exitful", Num drop_f);
+               ("throughput_drop_pct_exitless", Num drop_l);
+             ] );
+         ( "poison_sweep",
+           Obj
+             [
+               ("vectors", num (List.length vectors));
+               ("blocked", num !blocked);
+             ] );
+       ]);
+  gate "exitless kick reduction" (reduction >= 90.)
+    (Printf.sprintf "%.1f%% of kicks eliminated (< 90%%)" reduction);
+  gate "ring poison sweep"
+    (!blocked = List.length vectors)
+    (Printf.sprintf "%d of %d vectors blocked" !blocked (List.length vectors))
 
 (* ---------- Ablations ---------- *)
 
@@ -753,8 +780,8 @@ let bench_exitless () =
    switches). Both arms pace themselves with seq spins and run under
    the same run-slice alternation, so the beat structure is identical;
    the arms differ exactly by who moves the bytes and how many beats a
-   hop needs. Emits BENCH_channel.json and fails the run unless the
-   channel RTT is strictly below the bounce baseline's. *)
+   hop needs. Emits BENCH_channel.json and gates on the channel RTT
+   being strictly below the bounce baseline's. *)
 let bench_channel () =
   Metrics.Table.section
     "Attested inter-CVM channels — ping-pong RTT and bandwidth";
@@ -896,37 +923,26 @@ let bench_channel () =
       [ "attested channel"; fixed 0 chan_rtt; fixed 2 chan_mb ];
       [ "host bounce"; fixed 0 bounce_rtt; fixed 2 bounce_mb ];
     ];
+  let reduction_pct = (bounce_rtt -. chan_rtt) /. bounce_rtt *. 100. in
   Printf.printf
     "channel RTT %.0f vs host-bounce %.0f cycles (%.1f%% lower); bandwidth \
      %.2f vs %.2f MB/s\n"
-    chan_rtt bounce_rtt
-    ((bounce_rtt -. chan_rtt) /. bounce_rtt *. 100.)
-    chan_mb bounce_mb;
-  let json =
-    Printf.sprintf
-      {|{
-  "rounds": %d,
-  "rtt_msg_bytes": %d,
-  "bw_msg_bytes": %d,
-  "channel": { "rtt_cycles": %.1f, "bandwidth_mb_s": %.3f },
-  "host_bounce": { "rtt_cycles": %.1f, "bandwidth_mb_s": %.3f },
-  "rtt_reduction_pct": %.2f
-}
-|}
-      rounds rtt_len bw_len chan_rtt chan_mb bounce_rtt bounce_mb
-      ((bounce_rtt -. chan_rtt) /. bounce_rtt *. 100.)
+    chan_rtt bounce_rtt reduction_pct chan_mb bounce_mb;
+  let arm rtt mb =
+    Metrics.Export.Obj [ ("rtt_cycles", Num rtt); ("bandwidth_mb_s", Num mb) ]
   in
-  let oc = open_out "BENCH_channel.json" in
-  output_string oc json;
-  close_out oc;
-  print_endline "wrote BENCH_channel.json";
-  if chan_rtt >= bounce_rtt then begin
-    Printf.printf
-      "FAIL: channel RTT %.0f cycles is not below the host-bounce baseline \
-       %.0f\n"
-      chan_rtt bounce_rtt;
-    exit 1
-  end
+  write_result "BENCH_channel.json"
+    (Obj
+       [
+         ("rounds", num rounds);
+         ("rtt_msg_bytes", num rtt_len);
+         ("bw_msg_bytes", num bw_len);
+         ("channel", arm chan_rtt chan_mb);
+         ("host_bounce", arm bounce_rtt bounce_mb);
+         ("rtt_reduction_pct", Num reduction_pct);
+       ]);
+  gate "channel RTT below host bounce" (chan_rtt < bounce_rtt)
+    (Printf.sprintf "%.0f vs %.0f cycles" chan_rtt bounce_rtt)
 
 let bench_ablations () =
   Metrics.Table.section "Ablation — secure-memory block size";
@@ -1019,7 +1035,7 @@ let bench_sensitivity () =
 
 (* ---------- Bechamel: wall-clock microbenchmarks ---------- *)
 
-let bechamel_section () =
+let bench_bechamel () =
   Metrics.Table.section
     "Simulator microbenchmarks (Bechamel, host wall-clock ns/op)";
   let open Bechamel in
@@ -1097,50 +1113,64 @@ let bechamel_section () =
        (fun (n, v) -> [ n; fixed 1 v ])
        (List.sort compare !rows))
 
+(* ---------- post-run security audit ---------- *)
+
+(* A platform-wide invariant sweep on a freshly exercised stack: the
+   harness must leave no isolation property broken. *)
+let bench_audit () =
+  Metrics.Table.section "Post-run security audit";
+  let tb = Platform.Testbed.create () in
+  let h = Platform.Testbed.cvm tb (Guest.Gprog.hello "audit") in
+  gate_shutdown "audit guest"
+    (Hypervisor.Kvm.run_cvm_to_completion tb.Platform.Testbed.kvm h ~hart:0
+       ~quantum:Platform.Testbed.quantum_cycles ~max_slices:50);
+  let result = Zion.Monitor.audit tb.Platform.Testbed.monitor in
+  (match result with
+  | Ok n -> Printf.printf "audit: %d facts checked, no violations\n" n
+  | Error findings -> List.iter print_endline findings);
+  gate "post-run audit" (Result.is_ok result) "invariant violations above"
+
+let sections =
+  [
+    ("switch", bench_switches);
+    ("retention", bench_tlb_retention);
+    ("fault", bench_faults);
+    ("observability", bench_observability);
+    ("profile", bench_profile);
+    ("rv8", bench_rv8);
+    ("coremark", bench_coremark);
+    ("sim", bench_sim);
+    ("redis", bench_redis);
+    ("iozone", bench_iozone);
+    ("exitless", bench_exitless);
+    ("channel", bench_channel);
+    ("ablations", bench_ablations);
+    ("sensitivity", bench_sensitivity);
+    ("bechamel", bench_bechamel);
+    ("audit", bench_audit);
+  ]
+
 let () =
+  let chosen =
+    List.filter (fun a -> a <> "--quick") (List.tl (Array.to_list Sys.argv))
+  in
+  (match List.filter (fun a -> not (List.mem_assoc a sections)) chosen with
+  | [] -> ()
+  | unknown ->
+      Printf.eprintf "unknown section: %s\nvalid sections: %s\n"
+        (String.concat " " unknown)
+        (String.concat " " (List.map fst sections));
+      exit 2);
   print_endline "ZION paper-reproduction benchmark harness";
   print_endline
     (if quick then "(quick mode: reduced Redis request counts)"
      else "(full mode; pass --quick for a fast run)");
-  if Array.exists (fun a -> a = "--only-channel") Sys.argv then begin
-    (* CI's channel smoke: just the inter-CVM channel micro and gate. *)
-    bench_channel ();
-    exit 0
-  end;
-  if Array.exists (fun a -> a = "--only-sim") Sys.argv then begin
-    (* Interpreter fast-path A/B only: BENCH_sim.json and its gate. *)
-    bench_sim ();
-    exit 0
-  end;
-  bench_switches ();
-  bench_tlb_retention ();
-  bench_faults ();
-  bench_observability ();
-  bench_profile ();
-  bench_rv8 ();
-  bench_coremark ();
-  bench_sim ();
-  bench_redis ();
-  bench_iozone ();
-  bench_exitless ();
-  bench_channel ();
-  bench_ablations ();
-  bench_sensitivity ();
-  bechamel_section ();
-  (* Close with a platform-wide invariant sweep on a freshly exercised
-     stack: the harness must leave no isolation property broken. *)
-  Metrics.Table.section "Post-run security audit";
-  let tb = Platform.Testbed.create () in
-  let h = Platform.Testbed.cvm tb (Guest.Gprog.hello "audit") in
-  (match
-     Hypervisor.Kvm.run_cvm_to_completion tb.Platform.Testbed.kvm h ~hart:0
-       ~quantum:Platform.Testbed.quantum_cycles ~max_slices:50
-   with
-  | Hypervisor.Kvm.C_shutdown -> ()
-  | _ -> print_endline "warning: audit guest did not shut down");
-  (match Zion.Monitor.audit tb.Platform.Testbed.monitor with
-  | Ok n -> Printf.printf "audit: %d facts checked, no violations\n" n
-  | Error findings ->
-      print_endline "AUDIT VIOLATIONS:";
-      List.iter print_endline findings);
-  print_endline "\nAll experiment sections completed."
+  List.iter
+    (fun (name, run) -> if chosen = [] || List.mem name chosen then run ())
+    sections;
+  match List.rev !failed_gates with
+  | [] -> print_endline "\nAll selected sections completed; every gate passed."
+  | failed ->
+      Printf.printf "\n%d gate(s) FAILED: %s\n" (List.length failed)
+        (String.concat ", " failed);
+      exit 1

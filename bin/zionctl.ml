@@ -1,8 +1,7 @@
-(* zionctl — command-line front end for the ZION reproduction.
+(* zionctl — command-line front end for the ZION reproduction. The
+   paper's experiments and the micro benches run from bench/main.exe.
 
    Subcommands:
-     experiments  run paper experiments (switch | fault | rv8 | coremark
-                  | redis | iozone, or "all")
      boot         boot a confidential VM that prints a message
      attacks      run the malicious-hypervisor suite
      trace        run a workload under the SM flight recorder and export
@@ -11,164 +10,16 @@
                   and cycle-ledger attribution
      top          drive a traced Redis CVM and print live per-tenant
                   health snapshots
-     io           exercise the exitless virtio ring (batched doorbell-free
-                  block writes, or ring poisoning with --poison)
+     io           poison a live exitless virtio ring and verify the
+                  degradation to exitful kicks
      export       drive a traced+profiled Redis CVM and export the
                   telemetry plane (Prometheus text / JSON / folded
                   profile / Chrome trace)
-     sim          A/B-benchmark the interpreter fast path (decode cache +
-                  translation memos) and check architectural invisibility
      costs        dump the calibrated cost model *)
 
 open Cmdliner
 
 let fixed = Metrics.Table.fixed
-
-(* ---------- experiments ---------- *)
-
-let print_attribution title categories =
-  if categories <> [] then begin
-    Metrics.Table.section title;
-    Metrics.Table.print
-      ~header:[ "category"; "cycles" ]
-      (List.map (fun (c, n) -> [ c; string_of_int n ]) categories)
-  end
-
-let run_switch () =
-  let r = Platform.Exp_switch.run ~iterations:200 () in
-  Metrics.Table.section "§V.B switch costs (cycles)";
-  Metrics.Table.print
-    ~header:[ "path"; "entry"; "exit" ]
-    [
-      [ "shared vCPU";
-        fixed 0 r.Platform.Exp_switch.shared_on.Platform.Exp_switch.entry_mean;
-        fixed 0 r.Platform.Exp_switch.shared_on.Platform.Exp_switch.exit_mean ];
-      [ "no shared vCPU";
-        fixed 0 r.Platform.Exp_switch.shared_off.Platform.Exp_switch.entry_mean;
-        fixed 0 r.Platform.Exp_switch.shared_off.Platform.Exp_switch.exit_mean ];
-      [ "short path";
-        fixed 0 r.Platform.Exp_switch.short_path.Platform.Exp_switch.entry_mean;
-        fixed 0 r.Platform.Exp_switch.short_path.Platform.Exp_switch.exit_mean ];
-      [ "long path";
-        fixed 0 r.Platform.Exp_switch.long_path.Platform.Exp_switch.entry_mean;
-        fixed 0 r.Platform.Exp_switch.long_path.Platform.Exp_switch.exit_mean ];
-    ];
-  print_attribution "shared-vCPU run: where the cycles went"
-    r.Platform.Exp_switch.shared_on.Platform.Exp_switch.attribution
-
-let run_fault () =
-  let r = Platform.Exp_fault.run () in
-  Metrics.Table.section "§V.C page-fault costs (cycles)";
-  Metrics.Table.print
-    ~header:[ "path"; "mean"; "count" ]
-    [
-      [ "normal VM"; fixed 0 r.Platform.Exp_fault.normal_mean;
-        string_of_int r.Platform.Exp_fault.normal_count ];
-      [ "CVM stage 1"; fixed 0 r.Platform.Exp_fault.stage1_mean;
-        string_of_int r.Platform.Exp_fault.stage1_count ];
-      [ "CVM stage 2"; fixed 0 r.Platform.Exp_fault.stage2_mean;
-        string_of_int r.Platform.Exp_fault.stage2_count ];
-      [ "CVM stage 3"; fixed 0 r.Platform.Exp_fault.stage3_mean;
-        string_of_int r.Platform.Exp_fault.stage3_count ];
-      [ "CVM average"; fixed 0 r.Platform.Exp_fault.cvm_weighted_mean; "" ];
-    ];
-  print_attribution "CVM arm: where the cycles went"
-    r.Platform.Exp_fault.cvm_attribution
-
-let run_rv8 () =
-  let rows = Platform.Exp_rv8.run_table1 () in
-  Metrics.Table.section "Table I (10^9 cycles)";
-  Metrics.Table.print
-    ~header:[ "benchmark"; "normal"; "CVM"; "overhead %" ]
-    (List.map
-       (fun (r : Platform.Exp_rv8.row) ->
-         [
-           r.Platform.Exp_rv8.name;
-           fixed 3 r.Platform.Exp_rv8.normal_gcycles;
-           fixed 3 r.Platform.Exp_rv8.cvm_gcycles;
-           Metrics.Table.signed_pct r.Platform.Exp_rv8.overhead_pct;
-         ])
-       rows);
-  Printf.printf "average: %+.2f%%\n" (Platform.Exp_rv8.average_overhead rows)
-
-let run_coremark () =
-  let r = Platform.Exp_rv8.run_coremark () in
-  Metrics.Table.section "CoreMark";
-  Printf.printf "normal %.1f, CVM %.1f, drop %.2f%%, crc %s\n"
-    r.Platform.Exp_rv8.normal_score r.Platform.Exp_rv8.cvm_score
-    r.Platform.Exp_rv8.drop_pct
-    (if r.Platform.Exp_rv8.crc_ok then "ok" else "FAIL")
-
-let run_redis quick =
-  let rounds, requests = if quick then (1, 1000) else (10, 10_000) in
-  let rows = Platform.Exp_redis.run ~rounds ~requests () in
-  Metrics.Table.section "Figure 3 (Redis)";
-  Metrics.Table.print
-    ~header:[ "op"; "normal kQPS"; "CVM kQPS"; "drop %"; "lat +%" ]
-    (List.map
-       (fun (r : Platform.Exp_redis.row) ->
-         [
-           r.Platform.Exp_redis.op;
-           fixed 3 r.Platform.Exp_redis.normal_kqps;
-           fixed 3 r.Platform.Exp_redis.cvm_kqps;
-           fixed 2 r.Platform.Exp_redis.throughput_drop_pct;
-           fixed 2 r.Platform.Exp_redis.latency_increase_pct;
-         ])
-       rows)
-
-let run_iozone () =
-  let points = Platform.Exp_iozone.run () in
-  Metrics.Table.section "Figure 4 (IOZone, MB/s)";
-  Metrics.Table.print
-    ~header:[ "op"; "file KiB"; "record KiB"; "normal"; "CVM"; "overhead %" ]
-    (List.map
-       (fun (p : Platform.Exp_iozone.point) ->
-         [
-           (match p.Platform.Exp_iozone.op with
-           | Workloads.Iozone.Write -> "write"
-           | Workloads.Iozone.Read -> "read");
-           string_of_int p.Platform.Exp_iozone.file_kb;
-           string_of_int p.Platform.Exp_iozone.record_kb;
-           fixed 2 p.Platform.Exp_iozone.normal_mb_s;
-           fixed 2 p.Platform.Exp_iozone.cvm_mb_s;
-           Metrics.Table.signed_pct p.Platform.Exp_iozone.overhead_pct;
-         ])
-       points)
-
-let experiments_cmd =
-  let which =
-    Arg.(
-      required
-      & pos 0 (some (enum
-                       [ ("switch", `Switch); ("fault", `Fault);
-                         ("rv8", `Rv8); ("coremark", `Coremark);
-                         ("redis", `Redis); ("iozone", `Iozone);
-                         ("all", `All) ])) None
-      & info [] ~docv:"EXPERIMENT"
-          ~doc:"One of switch, fault, rv8, coremark, redis, iozone, all.")
-  in
-  let quick =
-    Arg.(value & flag & info [ "quick" ] ~doc:"Reduce Redis request counts.")
-  in
-  let run which quick =
-    match which with
-    | `Switch -> run_switch ()
-    | `Fault -> run_fault ()
-    | `Rv8 -> run_rv8 ()
-    | `Coremark -> run_coremark ()
-    | `Redis -> run_redis quick
-    | `Iozone -> run_iozone ()
-    | `All ->
-        run_switch ();
-        run_fault ();
-        run_rv8 ();
-        run_coremark ();
-        run_redis quick;
-        run_iozone ()
-  in
-  Cmd.v
-    (Cmd.info "experiments" ~doc:"Run paper-reproduction experiments")
-    Term.(const run $ which $ quick)
 
 (* ---------- boot ---------- *)
 
@@ -959,39 +810,22 @@ let top_cmd =
 (* ---------- io (exitless rings) ---------- *)
 
 let io_cmd =
-  let requests =
-    Arg.(
-      value
-      & opt int 40
-      & info [ "requests" ] ~docv:"N"
-          ~doc:"Block-write requests the guest publishes to the ring.")
-  in
-  let batch =
-    Arg.(
-      value
-      & opt int 8
-      & info [ "batch" ] ~docv:"B"
-          ~doc:
-            "Requests per published batch (one used-index wait each; at \
-             most the ring's 16 entries).")
-  in
   let poison =
     Arg.(
       value
-      & opt (some string) None
+      & opt string "all"
       & info [ "poison" ] ~docv:"VECTOR"
           ~doc:
-            ("Instead of the throughput run, poison a live ring with \
-              $(docv) ("
+            ("Ring-poison vector to run ("
             ^ vector_names Hypervisor.Attacks.ring_vectors
-            ^ ") and report the degradation verdict."))
+            ^ ")."))
   in
   let json =
     Arg.(
       value & flag
       & info [ "json" ] ~doc:"Emit the result as JSON instead of a table.")
   in
-  let run_poison name json =
+  let run name json =
     print_verdicts ~json
       (List.map
          (fun (n, attack) ->
@@ -1000,96 +834,13 @@ let io_cmd =
            (n, attack tb.Platform.Testbed.kvm h))
          (choose_vectors Hypervisor.Attacks.ring_vectors name))
   in
-  let run_throughput requests batch json_out =
-    let batch = max 1 (min batch (Guest.Swiotlb.ring_entries - 1)) in
-    let requests = max batch (requests / batch * batch) in
-    let batches = requests / batch in
-    let tb = Platform.Testbed.create () in
-    let prog =
-      List.concat
-        (List.init batches (fun b ->
-             List.concat
-               (List.init batch (fun j ->
-                    let seq = (b * batch) + j in
-                    Guest.Gprog.ring_blk_write ~seq ~sector:seq ~len:256
-                      ~byte:'z'
-                      ~slot:(seq mod Guest.Swiotlb.ring_entries)))
-             @ Guest.Gprog.ring_wait_used ~target:((b + 1) * batch)))
-      @ Guest.Gprog.shutdown
-    in
-    let h = Platform.Testbed.cvm tb prog in
-    (match Hypervisor.Kvm.enable_exitless_io tb.Platform.Testbed.kvm h with
-    | Ok _ -> ()
-    | Error e ->
-        prerr_endline ("zionctl io: " ^ e);
-        exit 1);
-    let outcome =
-      Hypervisor.Kvm.run_cvm_to_completion tb.Platform.Testbed.kvm h ~hart:0
-        ~quantum:100_000 ~max_slices:1000
-    in
-    let mmio = Hypervisor.Kvm.mmio_exits_serviced tb.Platform.Testbed.kvm in
-    let counter name =
-      Metrics.Registry.counter
-        ~scope:(Metrics.Registry.Cvm (Hypervisor.Kvm.cvm_id h))
-        (Zion.Monitor.registry tb.Platform.Testbed.monitor)
-        name
-    in
-    let suppressed = counter "sm.io.kicks_suppressed" in
-    let notifications =
-      match Hypervisor.Kvm.exitless_host tb.Platform.Testbed.kvm h with
-      | Some host -> Hypervisor.Virtio_ring.notifications host
-      | None -> 0
-    in
-    let done_ok = outcome = Hypervisor.Kvm.C_shutdown in
-    if json_out then begin
-      let open Metrics.Export in
-      let n = num_of_int in
-      print_endline
-        (json_to_string
-           (Obj
-              [
-                ("requests", n requests);
-                ("batch", n batch);
-                ("completed", Bool done_ok);
-                ("mmio_exits", n mmio);
-                ("kicks_suppressed", n suppressed);
-                ("used_publishes", n notifications);
-                ("cal_rejections", n (counter "sm.io.cal_rejections"));
-                ("fallbacks", n (counter "sm.io.fallbacks"));
-              ]))
-    end
-    else begin
-      Metrics.Table.section "exitless virtio ring";
-      Metrics.Table.print
-        ~header:[ "metric"; "value" ]
-        [
-          [ "requests"; string_of_int requests ];
-          [ "batch size"; string_of_int batch ];
-          [ "guest outcome"; (if done_ok then "shutdown" else "incomplete") ];
-          [ "MMIO exits (doorbells)"; string_of_int mmio ];
-          [ "kicks suppressed"; string_of_int suppressed ];
-          [ "used-index publishes"; string_of_int notifications ];
-          [ "CAL rejections"; string_of_int (counter "sm.io.cal_rejections") ];
-          [ "fallbacks"; string_of_int (counter "sm.io.fallbacks") ];
-        ];
-      print_health
-        (Zion.Monitor.health_snapshot tb.Platform.Testbed.monitor)
-    end;
-    if not done_ok then exit 1
-  in
-  let run requests batch poison json_out =
-    match poison with
-    | Some v -> run_poison v json_out
-    | None -> run_throughput requests batch json_out
-  in
   Cmd.v
     (Cmd.info "io"
        ~doc:
-         "Exercise the exitless virtio ring: publish batched block writes \
-          from a real guest with no doorbells ($(b,--requests), \
-          $(b,--batch)), or poison a live ring ($(b,--poison)) and verify \
-          the Check-after-Load degradation to exitful kicks")
-    Term.(const run $ requests $ batch $ poison $ json)
+         "Poison a live exitless virtio ring ($(b,--poison)) and verify \
+          the Check-after-Load degradation to exitful kicks; exits 1 if \
+          any vector leaks")
+    Term.(const run $ poison $ json)
 
 let channel_cmd =
   let msg =
@@ -1383,131 +1134,6 @@ let export_cmd =
       const run $ format $ out $ check $ profile_interval $ profile_out
       $ trace_out $ requests_arg)
 
-(* ---------- sim ---------- *)
-
-let sim_cmd =
-  let steps =
-    Arg.(
-      value & opt int 400_000
-      & info [ "steps" ] ~docv:"N"
-          ~doc:"Architectural steps per measured run.")
-  in
-  let workload =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "workload" ] ~docv:"NAME"
-          ~doc:
-            "Run only this workload (rv8_mix | coremark_mix | \
-             rv8_mix_paged); default all.")
-  in
-  let slow =
-    Arg.(
-      value & flag
-      & info [ "slow" ]
-          ~doc:
-            "Single run with the fast path disabled (no A/B), reporting \
-             instructions per wall-second of the uncached interpreter.")
-  in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Also write the A/B results as BENCH_sim-shaped JSON.")
-  in
-  let run steps workload slow json =
-    let workloads =
-      match workload with
-      | None -> Ok Platform.Exp_sim.all
-      | Some n -> (
-          match Platform.Exp_sim.of_name n with
-          | Some w -> Ok [ w ]
-          | None ->
-              Error
-                (Printf.sprintf
-                   "unknown workload %S (expected rv8_mix | coremark_mix | \
-                    rv8_mix_paged)"
-                   n))
-    in
-    match workloads with
-    | Error msg ->
-        prerr_endline msg;
-        exit 1
-    | Ok workloads when slow ->
-        Metrics.Table.section "simulator, fast path disabled";
-        Metrics.Table.print
-          ~header:[ "workload"; "steps"; "seconds"; "instr/s"; "cycles" ]
-          (List.map
-             (fun w ->
-               let r = Platform.Exp_sim.run w ~fast:false ~steps in
-               [
-                 Platform.Exp_sim.name w;
-                 string_of_int r.Platform.Exp_sim.executed;
-                 fixed 3 r.Platform.Exp_sim.seconds;
-                 fixed 0
-                   (float_of_int r.Platform.Exp_sim.executed
-                   /. r.Platform.Exp_sim.seconds);
-                 string_of_int r.Platform.Exp_sim.state.Platform.Exp_sim.clock;
-               ])
-             workloads)
-    | Ok workloads ->
-        Metrics.Table.section
-          "simulator fast path — instructions per wall-second (A/B)";
-        let results =
-          List.map (fun w -> Platform.Exp_sim.ab_compare w ~steps) workloads
-        in
-        Metrics.Table.print
-          ~header:
-            [ "workload"; "baseline instr/s"; "fast instr/s"; "speedup";
-              "arch state + ledger" ]
-          (List.map
-             (fun (r : Platform.Exp_sim.ab) ->
-               [
-                 Platform.Exp_sim.name r.Platform.Exp_sim.workload;
-                 fixed 0 r.Platform.Exp_sim.baseline_ips;
-                 fixed 0 r.Platform.Exp_sim.fast_ips;
-                 Printf.sprintf "%.2fx" r.Platform.Exp_sim.speedup;
-                 (if r.Platform.Exp_sim.identical then "identical"
-                  else "DIVERGED");
-               ])
-             results);
-        Metrics.Table.print
-          ~header:
-            [ "workload"; "decode fills"; "revalidations"; "evictions";
-              "fetch memo hits"; "load memo hits"; "store memo hits" ]
-          (List.map
-             (fun (r : Platform.Exp_sim.ab) ->
-               let st = r.Platform.Exp_sim.fast_stats in
-               Platform.Exp_sim.name r.Platform.Exp_sim.workload
-               :: List.map string_of_int
-                    [
-                      st.Riscv.Hart.decode_fills; st.Riscv.Hart.revalidations;
-                      st.Riscv.Hart.evictions; st.Riscv.Hart.fetch_memo_hits;
-                      st.Riscv.Hart.load_memo_hits;
-                      st.Riscv.Hart.store_memo_hits;
-                    ])
-             results);
-        (match json with
-        | Some path ->
-            Platform.Exp_sim.write_json path ~steps results;
-            Printf.printf "wrote %s\n" path
-        | None -> ());
-        if not (List.for_all (fun r -> r.Platform.Exp_sim.identical) results)
-        then begin
-          prerr_endline
-            "FAIL: fast and slow stepping diverged (see table above)";
-          exit 1
-        end
-  in
-  Cmd.v
-    (Cmd.info "sim"
-       ~doc:
-         "Benchmark the interpreter fast path (decode cache + translation \
-          memos) against uncached stepping, checking architectural \
-          invisibility")
-    Term.(const run $ steps $ workload $ slow $ json)
-
 (* ---------- costs ---------- *)
 
 let costs_cmd =
@@ -1518,39 +1144,17 @@ let costs_cmd =
           ~doc:"Emit the full model as a JSON object instead of a table.")
   in
   let run json_out =
-    let c = Riscv.Cost.default in
+    let fields = Riscv.Cost.to_assoc Riscv.Cost.default in
     if json_out then begin
-      print_string "{\n";
-      print_string
-        (String.concat ",\n"
-           (List.map
-              (fun (k, v) -> Printf.sprintf "  %S: %d" k v)
-              (Riscv.Cost.to_assoc c)));
-      print_string "\n}\n"
+      let open Metrics.Export in
+      print_endline
+        (json_to_string
+           (Obj (List.map (fun (k, v) -> (k, num_of_int v)) fields)))
     end
     else begin
-    Metrics.Table.section "calibrated cost model (cycles)";
-    Metrics.Table.print
-      ~header:[ "unit"; "cycles" ]
-      [
-        [ "trap entry"; string_of_int c.Riscv.Cost.trap_entry ];
-        [ "xret"; string_of_int c.Riscv.Cost.xret ];
-        [ "save/restore 31 GPRs"; string_of_int c.Riscv.Cost.gpr_all ];
-        [ "guest CSR context"; string_of_int c.Riscv.Cost.csr_ctx_guest ];
-        [ "host CSR context"; string_of_int c.Riscv.Cost.csr_ctx_host ];
-        [ "delegation reprogram"; string_of_int c.Riscv.Cost.deleg_reprogram ];
-        [ "PMP toggle"; string_of_int c.Riscv.Cost.pmp_toggle ];
-        [ "hgatp write"; string_of_int c.Riscv.Cost.hgatp_write ];
-        [ "TLB full flush"; string_of_int c.Riscv.Cost.tlb_full_flush ];
-        [ "vCPU integrity check"; string_of_int c.Riscv.Cost.vcpu_integrity ];
-        [ "page scrub (4 KiB)"; string_of_int c.Riscv.Cost.page_scrub ];
-        [ "stage-2 block grab"; string_of_int c.Riscv.Cost.block_grab ];
-        [ "pool expansion host work";
-          string_of_int c.Riscv.Cost.expand_host_work ];
-        [ "KVM host page alloc"; string_of_int c.Riscv.Cost.kvm_host_alloc ];
-        [ "HS timer tick"; string_of_int c.Riscv.Cost.hs_timer_tick ];
-        [ "HS MMIO emulation"; string_of_int c.Riscv.Cost.hs_mmio_exit ];
-      ]
+      Metrics.Table.section "calibrated cost model (cycles)";
+      Metrics.Table.print ~header:[ "unit"; "cycles" ]
+        (List.map (fun (k, v) -> [ k; string_of_int v ]) fields)
     end
   in
   Cmd.v
@@ -1563,7 +1167,7 @@ let () =
     (Cmd.eval
        (Cmd.group (Cmd.info "zionctl" ~doc)
           [
-            experiments_cmd; boot_cmd; attacks_cmd; audit_cmd; recover_cmd;
-            fuzz_cmd; migrate_cmd; trace_cmd; stats_cmd; top_cmd; io_cmd;
-            channel_cmd; export_cmd; sim_cmd; costs_cmd;
+            boot_cmd; attacks_cmd; audit_cmd; recover_cmd; fuzz_cmd;
+            migrate_cmd; trace_cmd; stats_cmd; top_cmd; io_cmd; channel_cmd;
+            export_cmd; costs_cmd;
           ]))

@@ -2,12 +2,16 @@
    model (§III.B), attempted for real against the architecture, and the
    defence that stops each one.
 
-   Run with: dune exec examples/attack_surface.exe *)
+   Run with: dune exec examples/attack_surface.exe
+   Exits 1 if any attack leaks. *)
+
+let leaked = ref false
 
 let describe name outcome =
   match outcome with
   | Hypervisor.Attacks.Blocked how -> Printf.printf "  BLOCKED  %-38s %s\n" name how
   | Hypervisor.Attacks.Leaked what ->
+      leaked := true;
       Printf.printf "  LEAKED!  %-38s %s\n" name what
 
 let () =
@@ -76,4 +80,5 @@ let () =
        ~victim_page:pool
        ~gpa:(Guest.Swiotlb.slot_gpa 10));
 
-  print_endline "done: every attack must read BLOCKED above."
+  print_endline "done: every attack must read BLOCKED above.";
+  if !leaked then exit 1

@@ -755,6 +755,15 @@ let create_cvm_impl t ~nvcpus ~entry_pc =
                 ~alloc_table_page:(alloc_table_page t table_blocks)
             in
             let cvm = Cvm.create ~id ~nvcpus ~entry_pc ~spt ~table_blocks in
+            (* Measure what decides the first instruction before any
+               page: the entry PC, the vCPU count and the shared-vCPU
+               mode. Like the page extends, this charges no cycles. *)
+            Option.iter
+              (fun m ->
+                Attest.extend_config m
+                  (Printf.sprintf "entry_pc=0x%Lx nvcpus=%d shared_vcpu=%b"
+                     entry_pc nvcpus t.cfg.shared_vcpu))
+              cvm.Cvm.measurement_ctx;
             Hashtbl.replace t.cvms id cvm;
             Journal.checkpoint t.journal jr "registered";
             seal_all_vcpus t cvm;

@@ -4,31 +4,8 @@
    the property the crash-at-every-step sweep and the CI smoke test
    depend on. *)
 
-type rng = { mutable s : int64 }
-
-let mk_rng seed = { s = Int64.of_int seed }
-
-let next_u64 r =
-  r.s <- Int64.add r.s 0x9E3779B97F4A7C15L;
-  let z = r.s in
-  let z =
-    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
-      0xBF58476D1CE4E5B9L
-  in
-  let z =
-    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
-      0x94D049BB133111EBL
-  in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
-let rand_int r n =
-  if n <= 0 then 0
-  else
-    Int64.to_int
-      (Int64.rem (Int64.logand (next_u64 r) Int64.max_int) (Int64.of_int n))
-
 (* probability p in [0,1], decided at per-mille resolution *)
-let flip r p = rand_int r 1000 < int_of_float (p *. 1000.0 +. 0.5)
+let flip r p = Splitmix.int r 1000 < int_of_float (p *. 1000.0 +. 0.5)
 
 type faults = {
   drop : float;  (** per-message drop probability *)
@@ -55,7 +32,7 @@ type stats = {
 }
 
 type t = {
-  rng : rng;
+  rng : Splitmix.t;
   faults : faults;
   mutable now : int;
   mutable queue : (int * string) list;  (* (deliver_at, message) *)
@@ -64,7 +41,7 @@ type t = {
 
 let create ?(faults = no_faults) ~seed () =
   {
-    rng = mk_rng seed;
+    rng = Splitmix.create seed;
     faults;
     now = 0;
     queue = [];
@@ -90,11 +67,11 @@ let corrupt_msg t msg =
   if String.length msg = 0 then msg
   else begin
     let b = Bytes.of_string msg in
-    let n = 1 + rand_int t.rng 3 in
+    let n = 1 + Splitmix.int t.rng 3 in
     for _ = 1 to n do
-      let i = rand_int t.rng (Bytes.length b) in
+      let i = Splitmix.int t.rng (Bytes.length b) in
       Bytes.set b i
-        (Char.chr (Char.code (Bytes.get b i) lxor (1 + rand_int t.rng 255)))
+        (Char.chr (Char.code (Bytes.get b i) lxor (1 + Splitmix.int t.rng 255)))
     done;
     Bytes.to_string b
   end
@@ -102,7 +79,7 @@ let corrupt_msg t msg =
 let enqueue t msg extra_delay =
   let delay =
     1 + extra_delay
-    + (if t.faults.delay_max > 0 then rand_int t.rng (t.faults.delay_max + 1)
+    + (if t.faults.delay_max > 0 then Splitmix.int t.rng (t.faults.delay_max + 1)
        else 0)
   in
   t.queue <- t.queue @ [ (t.now + delay, msg) ]
@@ -123,14 +100,14 @@ let send t msg =
     let held =
       if flip t.rng f.reorder then begin
         t.stats.reordered <- t.stats.reordered + 1;
-        1 + rand_int t.rng 3
+        1 + Splitmix.int t.rng 3
       end
       else 0
     in
     enqueue t msg held;
     if flip t.rng f.dup then begin
       t.stats.duplicated <- t.stats.duplicated + 1;
-      enqueue t msg (rand_int t.rng 3)
+      enqueue t msg (Splitmix.int t.rng 3)
     end
   end
 

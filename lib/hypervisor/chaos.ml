@@ -8,31 +8,8 @@ open Riscv
 
 (* ---------- deterministic PRNG (splitmix64) ---------- *)
 
-type rng = { mutable s : int64 }
-
-let rng seed = { s = Int64.of_int seed }
-
-let next_u64 r =
-  r.s <- Int64.add r.s 0x9E3779B97F4A7C15L;
-  let z = r.s in
-  let z =
-    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
-      0xBF58476D1CE4E5B9L
-  in
-  let z =
-    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
-      0x94D049BB133111EBL
-  in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
-(* Uniform int in [0, n). *)
-let rand_int r n =
-  if n <= 0 then 0
-  else
-    Int64.to_int (Int64.rem (Int64.logand (next_u64 r) Int64.max_int)
-                    (Int64.of_int n))
-
-let rand_i64 r = next_u64 r
+let rand_int = Splitmix.int
+let rand_i64 = Splitmix.next_u64
 let one_of r l = List.nth l (rand_int r (List.length l))
 
 (* ---------- report ---------- *)
@@ -90,7 +67,7 @@ let pp_report ppf r =
 (* ---------- the hostile world ---------- *)
 
 type world = {
-  r : rng;
+  r : Splitmix.t;
   machine : Machine.t;
   mon : Zion.Monitor.t;
   dst_mon : Zion.Monitor.t;
@@ -806,7 +783,7 @@ let audit w =
 
 let run ?(dram_mib = 128) ?(pool_mib = 2) ?(nharts = 2)
     ?(tlb_retention = false) ?(channels = true) ~seed ~iters () =
-  let r = rng seed in
+  let r = Splitmix.create seed in
   let machine = Machine.create ~nharts ~dram_size:(mib dram_mib) () in
   let config =
     {

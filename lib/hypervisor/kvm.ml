@@ -26,8 +26,8 @@ type t = {
   mutable expand_policy : expand_policy;
   mutable next_nvm_id : int;
   mutable backoff_rng : int64;
-      (* splitmix64 state for backoff jitter; seeded per instance so a
-         fleet of tenants desynchronises deterministically *)
+      (* [Splitmix.chained] state for backoff jitter; seeded per
+         instance so a fleet of tenants desynchronises deterministically *)
 }
 
 let kernel_reserve = 0x100_0000L (* 16 MiB host kernel image *)
@@ -35,14 +35,6 @@ let kernel_reserve = 0x100_0000L (* 16 MiB host kernel image *)
 (* Distinct seed per hypervisor instance: O(100) tenants created from
    the same harness must not retry expansion in lockstep. *)
 let instance_counter = ref 0
-
-let splitmix64 state =
-  let z = Int64.add state 0x9E3779B97F4A7C15L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
-      0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
-      0x94D049BB133111EBL in
-  (z, Int64.logxor z (Int64.shift_right_logical z 31))
 
 let create ~machine ~monitor ?(disk_sectors = 262144) () =
   let bus = machine.Machine.bus in
@@ -627,13 +619,9 @@ let expand_backoff_cycles = 1_000
    total retry budget predictable. *)
 let backoff_with_jitter t stalls =
   let base = expand_backoff_cycles lsl stalls in
-  let state, bits = splitmix64 t.backoff_rng in
+  let state, bits = Splitmix.chained t.backoff_rng in
   t.backoff_rng <- state;
-  let jitter =
-    Int64.to_int (Int64.rem (Int64.logand bits Int64.max_int)
-        (Int64.of_int (base / 2)))
-  in
-  base + jitter
+  base + Splitmix.below bits (base / 2)
 
 let run_cvm t h ~hart ~max_steps =
   Mmio_emul.set_translate t.devices (fun gpa ->
@@ -711,7 +699,8 @@ let run_cvm t h ~hart ~max_steps =
   in
   drive max_steps 0
 
-let run_cvm_to_completion t h ~hart ~quantum ~max_slices =
+let run_cvm_to_completion ?(on_slice = ignore) t h ~hart ~quantum
+    ~max_slices =
   let clint = Bus.clint t.machine.Machine.bus in
   let hart_obj = t.machine.Machine.harts.(hart) in
   hart_obj.Hart.csr.Csr.mie <-
@@ -722,7 +711,9 @@ let run_cvm_to_completion t h ~hart ~quantum ~max_slices =
       Clint.set_mtimecmp clint hart
         (Int64.of_int (Metrics.Ledger.now (ledger t) + quantum));
       match run_cvm t h ~hart ~max_steps:10_000_000 with
-      | C_timer -> go (slice + 1)
+      | C_timer ->
+          on_slice slice;
+          go (slice + 1)
       | other -> other
     end
   in

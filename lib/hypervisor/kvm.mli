@@ -97,9 +97,12 @@ val set_expand_policy : t -> expand_policy -> unit
     make progress, and [run_cvm] gives up after bounded retries). *)
 
 val run_cvm_to_completion :
+  ?on_slice:(int -> unit) ->
   t -> cvm_handle -> hart:int -> quantum:int -> max_slices:int -> cvm_outcome
 (** Keep scheduling the CVM (reprogramming the timer each slice) until
-    it shuts down or the slice budget runs out. *)
+    it shuts down or the slice budget runs out. [on_slice n] runs after
+    slice [n] (from 0) expires on the timer, so a caller can watch the
+    run live between quanta. *)
 
 val mmio_exits_serviced : t -> int
 val expansions : t -> int

@@ -134,23 +134,11 @@ let run_traced ?(ops = [ "SET"; "GET" ]) ?(requests = 10) ?(key_space = 4)
       last_req := now;
       incr completed;
       Some (Workloads.Redis.handle_traced ~trace:tr server pkt));
-  (* The slice loop of [Kvm.run_cvm_to_completion], opened up so a
-     caller can watch the run live between quanta ([zionctl top]). *)
-  Testbed.enable_timer tb ~hart:0;
-  let rec go slice =
-    if slice >= max_slices then Hypervisor.Kvm.C_limit
-    else begin
-      Testbed.set_quantum tb ~hart:0 quantum;
-      match Hypervisor.Kvm.run_cvm tb.Testbed.kvm h ~hart:0
-              ~max_steps:10_000_000
-      with
-      | Hypervisor.Kvm.C_timer ->
-          (match on_slice with Some f -> f slice tb | None -> ());
-          go (slice + 1)
-      | other -> other
-    end
+  let outcome =
+    Hypervisor.Kvm.run_cvm_to_completion tb.Testbed.kvm h ~hart:0 ~quantum
+      ~max_slices
+      ?on_slice:(Option.map (fun f slice -> f slice tb) on_slice)
   in
-  let outcome = go 0 in
   (match profile_interval with
   | Some _ -> Zion.Monitor.disable_profiler mon
   | None -> ());

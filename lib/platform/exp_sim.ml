@@ -10,8 +10,6 @@ let name = function
   | Coremark_mix -> "coremark_mix"
   | Rv8_mix_paged -> "rv8_mix_paged"
 
-let of_name s = List.find_opt (fun w -> name w = s) all
-
 (* Arithmetic/memory mix in the style of the rv8 kernels: mul-accumulate,
    store/load round-trip, shifts, an AMO, and a counted inner loop. *)
 let prog_rv8 =
@@ -184,24 +182,3 @@ let ab_compare workload ~steps =
     identical = slow.state = fast.state;
     fast_stats = fast.stats;
   }
-
-let write_json path ~steps results =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"steps_per_run\": %d,\n  \"workloads\": [\n" steps;
-  List.iteri
-    (fun i r ->
-      let st = r.fast_stats in
-      Printf.fprintf oc
-        "    {\"name\": \"%s\", \"baseline_ips\": %.0f, \"fast_ips\": %.0f, \
-         \"speedup\": %.3f, \"identical\": %b,\n\
-        \     \"fast_path\": {\"decode_fills\": %d, \"revalidations\": %d, \
-         \"evictions\": %d, \"fetch_memo_hits\": %d, \"load_memo_hits\": %d, \
-         \"store_memo_hits\": %d}}%s\n"
-        (name r.workload) r.baseline_ips r.fast_ips r.speedup r.identical
-        st.Riscv.Hart.decode_fills st.Riscv.Hart.revalidations
-        st.Riscv.Hart.evictions st.Riscv.Hart.fetch_memo_hits
-        st.Riscv.Hart.load_memo_hits st.Riscv.Hart.store_memo_hits
-        (if i = List.length results - 1 then "" else ","))
-    results;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc

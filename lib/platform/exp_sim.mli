@@ -14,7 +14,6 @@ type workload =
 
 val all : workload list
 val name : workload -> string
-val of_name : string -> workload option
 
 type state = {
   clock : int;
@@ -49,8 +48,3 @@ type ab = {
 
 val ab_compare : workload -> steps:int -> ab
 (** Run [workload] with the fast path off then on; compare. *)
-
-val write_json : string -> steps:int -> ab list -> unit
-(** Emit the BENCH_sim.json shape CI gates on: per workload the two
-    rates, the speedup, the identity flag and the fast arm's counters
-    under ["fast_path"]. *)

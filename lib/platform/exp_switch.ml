@@ -65,30 +65,6 @@ let measure_mmio_switches ~shared_vcpu ~iterations =
     attribution = attribution_of tb before;
   }
 
-let measure_timer_switches ~long_path ~iterations =
-  let config = { Zion.Monitor.default_config with long_path } in
-  let tb = Testbed.create ~config () in
-  let handle = Testbed.cvm tb [ Decode.Jal (0, 0L) ] in
-  let before = Metrics.Ledger.snapshot tb.Testbed.machine.Machine.ledger in
-  Testbed.enable_timer tb ~hart:0;
-  for _ = 1 to iterations do
-    Testbed.set_quantum tb ~hart:0 20_000;
-    match
-      Hypervisor.Kvm.run_cvm tb.Testbed.kvm handle ~hart:0
-        ~max_steps:10_000_000
-    with
-    | Hypervisor.Kvm.C_timer -> ()
-    | _ -> failwith "exp_switch: expected timer exit"
-  done;
-  let entries = Zion.Monitor.entry_cycles tb.Testbed.monitor in
-  let exits = Zion.Monitor.exit_cycles tb.Testbed.monitor in
-  {
-    entry_mean = mean entries;
-    exit_mean = mean exits;
-    samples = List.length exits;
-    attribution = attribution_of tb before;
-  }
-
 type tlb_counters = {
   tlb_hits : int;
   tlb_misses : int;
@@ -98,12 +74,11 @@ type tlb_counters = {
 
 type mode_stats = { sw : switch_stats; tlb : tlb_counters }
 
-(* Steady-state timer switches under the chosen TLB mode. Stats are
-   reset after setup (pool registration and image load do mandatory
-   full flushes in either mode) so the counters describe the switch
-   loop alone. *)
-let measure_retention_switches ~tlb_retention ~iterations =
-  let config = { Zion.Monitor.default_config with tlb_retention } in
+(* Steady-state timer switches under [config]. TLB stats are reset
+   after setup (pool registration and image load do mandatory full
+   flushes in either TLB mode) so the counters describe the switch loop
+   alone. *)
+let measure_timer_switches ~config ~iterations =
   let tb = Testbed.create ~config () in
   let handle = Testbed.cvm tb [ Decode.Jal (0, 0L) ] in
   let harts = tb.Testbed.machine.Machine.harts in
@@ -153,11 +128,15 @@ type report = {
 }
 
 let run ?(iterations = 200) () =
+  let timer ~long_path =
+    let config = { Zion.Monitor.default_config with long_path } in
+    (measure_timer_switches ~config ~iterations).sw
+  in
   {
     shared_on = measure_mmio_switches ~shared_vcpu:true ~iterations;
     shared_off = measure_mmio_switches ~shared_vcpu:false ~iterations;
-    short_path = measure_timer_switches ~long_path:false ~iterations;
-    long_path = measure_timer_switches ~long_path:true ~iterations;
+    short_path = timer ~long_path:false;
+    long_path = timer ~long_path:true;
   }
 
 let paper =

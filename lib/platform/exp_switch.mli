@@ -26,9 +26,6 @@ val mmio_program : iterations:int -> Riscv.Decode.t list
 val measure_mmio_switches : shared_vcpu:bool -> iterations:int -> switch_stats
 (** MMIO-triggered switches under the given vCPU-transfer mechanism. *)
 
-val measure_timer_switches : long_path:bool -> iterations:int -> switch_stats
-(** Timer-triggered switches under the short or long path. *)
-
 type tlb_counters = {
   tlb_hits : int;
   tlb_misses : int;
@@ -38,13 +35,14 @@ type tlb_counters = {
 
 type mode_stats = { sw : switch_stats; tlb : tlb_counters }
 
-val measure_retention_switches :
-  tlb_retention:bool -> iterations:int -> mode_stats
-(** Timer-triggered switches with the VMID-tagged retention fast path
-    on or off, plus the harts' TLB counters over the measured loop
-    (stats reset after setup). The retained mode should show the
-    entry+exit pair cheaper by two [tlb_full_flush] charges and a
-    near-1 hit rate once warm. *)
+val measure_timer_switches :
+  config:Zion.Monitor.config -> iterations:int -> mode_stats
+(** Timer-triggered switches under [config] — the short or long path
+    ([long_path]), with the VMID-tagged TLB retention fast path on or
+    off ([tlb_retention]) — plus the harts' TLB counters over the
+    measured loop (stats reset after setup). With retention on, the
+    entry+exit pair should be cheaper by two [tlb_full_flush] charges
+    and the hit rate near 1 once warm. *)
 
 type report = {
   shared_on : switch_stats;

@@ -10,21 +10,10 @@ let guest_entry = 0x10000L
 
 (* Deterministic splitmix64, so failures replay across machines. *)
 let splitmix seed =
-  let s = ref (Int64.of_int seed) in
-  fun () ->
-    s := Int64.add !s 0x9E3779B97F4A7C15L;
-    let z = !s in
-    let z =
-      Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
-        0xBF58476D1CE4E5B9L
-    in
-    let z =
-      Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
-        0x94D049BB133111EBL
-    in
-    Int64.logxor z (Int64.shift_right_logical z 31)
+  let r = Hypervisor.Splitmix.create seed in
+  fun () -> Hypervisor.Splitmix.next_u64 r
 
-let rint next bound = Int64.to_int (Int64.rem (Int64.logand (next ()) Int64.max_int) (Int64.of_int bound))
+let rint next bound = Hypervisor.Splitmix.below (next ()) bound
 
 let make_monitor ?(pool_mib = 2) () =
   let machine = Machine.create ~nharts:2 ~dram_size:(mib 128) () in

@@ -10,8 +10,9 @@ let tests =
     Alcotest.test_case "launch measurement matches the golden digest" `Quick
       (fun () ->
         (* Pins the SM's measurement format and the SHA-256 kernel
-           together: a partial first-page tail, a second region, and a
-           page that is not a whole number of SHA-256 blocks. *)
+           together: the launch parameters, a partial first-page tail, a
+           second region, and a page that is not a whole number of
+           SHA-256 blocks. *)
         let tb = Platform.Testbed.create () in
         let image =
           [
@@ -28,10 +29,41 @@ let tests =
             Alcotest.(check (option string))
               "measurement"
               (Some
-                 "e3e6d7bf0be4a442bb69cb481f5ef593a37ae60e679198c140dc1f1869282020")
+                 "c940f4c3a38b8a8c99ed311b48e0c58f2a5eae3ad6546e98d009ce3babb29eb5")
               (Option.map Crypto.Sha256.to_hex
                  (Zion.Monitor.cvm_measurement tb.Platform.Testbed.monitor
                     ~cvm:(Hypervisor.Kvm.cvm_id h))));
+    Alcotest.test_case "launch parameters are part of the measurement"
+      `Quick (fun () ->
+        (* The host picks the entry PC, the vCPU count and the monitor's
+           vCPU mode; a report must tell the same image started any
+           other way from the one the tenant attested. *)
+        let launch ?config ~nvcpus ~entry_pc () =
+          let mon = (Platform.Testbed.create ?config ()).Platform.Testbed.monitor in
+          let ok = function
+            | Ok v -> v
+            | Error e -> Alcotest.fail (Zion.Ecall.error_to_string e)
+          in
+          let cvm = ok (Zion.Monitor.create_cvm mon ~nvcpus ~entry_pc) in
+          ok
+            (Zion.Monitor.load_image mon ~cvm
+               ~gpa:Platform.Testbed.guest_entry (pattern 6_000));
+          Crypto.Sha256.to_hex (ok (Zion.Monitor.finalize_cvm mon ~cvm))
+        in
+        let entry = Platform.Testbed.guest_entry in
+        let base = launch ~nvcpus:1 ~entry_pc:entry () in
+        Alcotest.(check string)
+          "same launch, same measurement" base
+          (launch ~nvcpus:1 ~entry_pc:entry ());
+        let differs what m =
+          Alcotest.(check bool) (what ^ " is measured") true (m <> base)
+        in
+        differs "entry PC" (launch ~nvcpus:1 ~entry_pc:(Int64.add entry 4L) ());
+        differs "vCPU count" (launch ~nvcpus:2 ~entry_pc:entry ());
+        differs "shared-vCPU mode"
+          (launch
+             ~config:{ Zion.Monitor.default_config with shared_vcpu = false }
+             ~nvcpus:1 ~entry_pc:entry ()));
     Alcotest.test_case "extend_sub measures a slice as extend would" `Quick
       (fun () ->
         let whole = Zion.Attest.start () in

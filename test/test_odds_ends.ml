@@ -1,28 +1,7 @@
-(* Remaining odds and ends: the long-path secure-hypervisor stand-in,
-   chart variants, bus decode helpers, and disassembler output. *)
+(* Remaining odds and ends: chart variants, bus decode helpers, the
+   layout helpers and disassembler output. *)
 
 open Riscv
-
-let secure_hyp_tests =
-  [
-    Alcotest.test_case "dispatch counts entries and exits" `Quick (fun () ->
-        let sh = Hypervisor.Secure_hyp.create () in
-        Hypervisor.Secure_hyp.dispatch_entry sh ~cvm:1 ~vcpu:0;
-        Hypervisor.Secure_hyp.dispatch_exit sh ~cvm:1 ~vcpu:0 ~cause:5;
-        Hypervisor.Secure_hyp.dispatch_entry sh ~cvm:1 ~vcpu:0;
-        Alcotest.(check int) "entries" 2 (Hypervisor.Secure_hyp.entries sh);
-        Alcotest.(check int) "exits" 1 (Hypervisor.Secure_hyp.exits sh));
-    Alcotest.test_case "exit before entry is a protocol violation" `Quick
-      (fun () ->
-        let sh = Hypervisor.Secure_hyp.create () in
-        Alcotest.(check bool)
-          "raises" true
-          (match
-             Hypervisor.Secure_hyp.dispatch_exit sh ~cvm:9 ~vcpu:0 ~cause:0
-           with
-          | () -> false
-          | exception Invalid_argument _ -> true));
-  ]
 
 let chart_tests =
   [
@@ -113,7 +92,6 @@ let layout_tests =
 
 let suite =
   [
-    ("odds.secure-hyp", secure_hyp_tests);
     ("odds.chart", chart_tests);
     ("odds.bus", bus_tests);
     ("odds.disasm", disasm_tests);

@@ -26,16 +26,20 @@ let switch_tests =
     Alcotest.test_case "timer switches hit §V.B.2 calibration" `Slow
       (fun () ->
         let s =
-          Platform.Exp_switch.measure_timer_switches ~long_path:false
-            ~iterations:20
+          (Platform.Exp_switch.measure_timer_switches
+             ~config:{ Zion.Monitor.default_config with long_path = false }
+             ~iterations:20)
+            .Platform.Exp_switch.sw
         in
         Alcotest.(check (float 0.5))
           "short entry" 4028. s.Platform.Exp_switch.entry_mean;
         Alcotest.(check (float 0.5))
           "short exit" 2406. s.Platform.Exp_switch.exit_mean;
         let l =
-          Platform.Exp_switch.measure_timer_switches ~long_path:true
-            ~iterations:20
+          (Platform.Exp_switch.measure_timer_switches
+             ~config:{ Zion.Monitor.default_config with long_path = true }
+             ~iterations:20)
+            .Platform.Exp_switch.sw
         in
         Alcotest.(check (float 0.5))
           "long entry" 7282. l.Platform.Exp_switch.entry_mean;

@@ -435,10 +435,12 @@ let retention_cost_tests =
     Alcotest.test_case "retention saves one full flush per direction" `Quick
       (fun () ->
         let faithful =
-          Platform.Exp_switch.measure_retention_switches ~tlb_retention:false
+          Platform.Exp_switch.measure_timer_switches
+            ~config:{ Zion.Monitor.default_config with tlb_retention = false }
             ~iterations:20
         and retained =
-          Platform.Exp_switch.measure_retention_switches ~tlb_retention:true
+          Platform.Exp_switch.measure_timer_switches
+            ~config:{ Zion.Monitor.default_config with tlb_retention = true }
             ~iterations:20
         in
         let flush = float_of_int Riscv.Cost.default.Riscv.Cost.tlb_full_flush in
