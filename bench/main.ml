@@ -6,10 +6,11 @@
    Usage: dune exec bench/main.exe -- [--quick] [SECTION ...]
    SECTIONs are the names in [sections] below, which is also the run
    order; with none, every section runs, and an unknown name exits 2.
-   --quick shrinks the Redis request counts, the simulator A/B and the
-   channel ping-pong for fast CI runs. Micro benches write their
-   results to BENCH_<name>.json; every gate is checked here, and the
-   run exits 1 if any gate failed. *)
+   --quick shrinks the simulator A/B, the channel ping-pong and the
+   Bechamel quota for fast CI runs; the paper experiments run at paper
+   size in every mode. Micro benches write their results to
+   BENCH_<name>.json; every gate is checked here, and the run exits 1
+   if any gate failed. *)
 
 let quick = Array.exists (fun a -> a = "--quick") Sys.argv
 
@@ -498,11 +499,15 @@ let bench_sim () =
 
 (* ---------- Figure 3 : Redis ---------- *)
 
+(* One run per priced experiment, shared by its figure's section and by
+   [bench_exitless], which reads the exitless arm priced from it. *)
+let redis_rows = lazy (Platform.Exp_redis.run ())
+let iozone_points = lazy (Platform.Exp_iozone.run ())
+
 let bench_redis () =
   Metrics.Table.section
     "Figure 3 — Redis throughput and latency (10 rounds x 10,000 requests)";
-  let rounds, requests = if quick then (2, 1000) else (10, 10_000) in
-  let rows = Platform.Exp_redis.run ~rounds ~requests () in
+  let rows = Lazy.force redis_rows in
   Metrics.Table.print
     ~header:
       [ "operation"; "normal kQPS"; "CVM kQPS"; "thr. drop %";
@@ -541,7 +546,7 @@ let bench_redis () =
 let bench_iozone () =
   Metrics.Table.section
     "Figure 4 — IOZone sequential I/O throughput (MB/s)";
-  let points = Platform.Exp_iozone.run () in
+  let points = Lazy.force iozone_points in
   let by_op op =
     List.filter (fun p -> p.Platform.Exp_iozone.op = op) points
   in
@@ -683,27 +688,20 @@ let bench_exitless () =
     "world switches eliminated: %.1f%% (%d kicks suppressed, %d used-index \
      publishes for %d requests)\n"
     reduction suppressed notifications requests;
-  (* Macro deltas: same workloads, confidential arm re-priced over the
-     ring path. *)
-  let io_points = Platform.Exp_iozone.run () in
-  let io_points_l =
-    Platform.Exp_iozone.run ~io_mode:Platform.Macro_vm.Exitless ()
+  (* Macro deltas: the CVM arms of the Figure 3 and 4 runs, exitful
+     kicks against the ring path. *)
+  let mean f xs = Metrics.Stats.mean (Array.of_list (List.map f xs)) in
+  let io_points = Lazy.force iozone_points in
+  let io_f = mean (fun p -> p.Platform.Exp_iozone.cvm_mb_s) io_points in
+  let io_l =
+    mean (fun p -> p.Platform.Exp_iozone.cvm_exitless_mb_s) io_points
   in
-  let mean_cvm pts =
-    Metrics.Stats.mean
-      (Array.of_list
-         (List.map (fun p -> p.Platform.Exp_iozone.cvm_mb_s) pts))
-  in
-  let io_f = mean_cvm io_points and io_l = mean_cvm io_points_l in
   let gain_pct = (io_l -. io_f) /. io_f *. 100. in
-  let rounds, reqs = if quick then (2, 1000) else (10, 10_000) in
-  let redis_f = Platform.Exp_redis.run ~rounds ~requests:reqs () in
-  let redis_l =
-    Platform.Exp_redis.run ~rounds ~requests:reqs
-      ~io_mode:Platform.Macro_vm.Exitless ()
+  let redis = Lazy.force redis_rows in
+  let drop_f = mean (fun r -> r.Platform.Exp_redis.throughput_drop_pct) redis in
+  let drop_l =
+    mean (fun r -> r.Platform.Exp_redis.exitless_throughput_drop_pct) redis
   in
-  let drop_f = Platform.Exp_redis.average_throughput_drop redis_f in
-  let drop_l = Platform.Exp_redis.average_throughput_drop redis_l in
   Printf.printf
     "iozone CVM mean: %.2f -> %.2f MB/s (+%.2f%%); redis CVM throughput \
      drop: %.2f%% -> %.2f%%\n"
@@ -1163,7 +1161,7 @@ let () =
       exit 2);
   print_endline "ZION paper-reproduction benchmark harness";
   print_endline
-    (if quick then "(quick mode: reduced Redis request counts)"
+    (if quick then "(quick mode: shorter simulator, channel and Bechamel runs)"
      else "(full mode; pass --quick for a fast run)");
   List.iter
     (fun (name, run) -> if chosen = [] || List.mem name chosen then run ())

@@ -5,14 +5,14 @@ type point = {
   normal_mb_s : float;
   cvm_mb_s : float;
   overhead_pct : float;
+  cvm_exitless_mb_s : float;
 }
 
 let clock_hz = 1e8
 
-let price ?io_mode ~monitor kind (run : Workloads.Iozone.run) =
+let price ~monitor kind (run : Workloads.Iozone.run) =
   let vm =
-    Macro_vm.create ~kind ?io_mode ~monitor
-      ~locality:Workloads.Iozone.locality ()
+    Macro_vm.create ~kind ~monitor ~locality:Workloads.Iozone.locality ()
   in
   Macro_vm.add_ops vm run.Workloads.Iozone.ops;
   List.iter
@@ -24,7 +24,7 @@ let price ?io_mode ~monitor kind (run : Workloads.Iozone.run) =
      part of the measurement window (in either arm). *)
   Macro_vm.total_cycles vm
 
-let run ?io_mode () =
+let run () =
   let tb = Testbed.create () in
   let monitor = tb.Testbed.monitor in
   List.concat_map
@@ -35,7 +35,8 @@ let run ?io_mode () =
             (fun record_kb ->
               let r = Workloads.Iozone.run ~op ~file_kb ~record_kb in
               let n = price ~monitor Macro_vm.Normal r in
-              let c = price ?io_mode ~monitor Macro_vm.Confidential r in
+              let c = price ~monitor Macro_vm.(Confidential Exitful) r in
+              let l = price ~monitor Macro_vm.(Confidential Exitless) r in
               let mb_s cycles =
                 float_of_int file_kb /. 1024. /. (cycles /. clock_hz)
               in
@@ -46,6 +47,7 @@ let run ?io_mode () =
                 normal_mb_s = mb_s n;
                 cvm_mb_s = mb_s c;
                 overhead_pct = (c -. n) /. n *. 100.;
+                cvm_exitless_mb_s = mb_s l;
               })
             Workloads.Iozone.record_sizes_kb)
         Workloads.Iozone.file_sizes_kb)

@@ -6,6 +6,7 @@ type row = {
   normal_latency_ms : float;
   cvm_latency_ms : float;
   latency_increase_pct : float;
+  exitless_throughput_drop_pct : float;
 }
 
 (* Per-request constants (see the interface): calibrated once against
@@ -17,43 +18,40 @@ let mmio_accesses_per_request = 1.5
 
 let clock_hz = 1e8
 
-let run_one ?io_mode ~monitor ~rounds ~requests op =
-  let run_arm kind =
-    let server = Workloads.Redis.create () in
+let run_one ~monitor ~rounds ~requests op =
+  let server = Workloads.Redis.create () in
+  let total_reqs = rounds * requests in
+  let bytes_moved = ref 0 in
+  for seq = 0 to total_reqs - 1 do
+    let req = Workloads.Redis.request_for ~op ~key_space:requests ~seq in
+    let reply = Workloads.Redis.handle server req in
+    bytes_moved := !bytes_moved + String.length req + String.length reply
+  done;
+  (* Virtio-net accesses with coalescing; bounce traffic is the RESP
+     bytes in both directions. *)
+  let accesses =
+    int_of_float
+      (Float.round (mmio_accesses_per_request *. float_of_int total_reqs))
+  in
+  let per_access_bytes = !bytes_moved / max accesses 1 in
+  let cycles_per_req kind =
     let vm =
-      Macro_vm.create ~kind ?io_mode ~monitor
-        ~locality:Workloads.Redis.locality ()
+      Macro_vm.create ~kind ~monitor ~locality:Workloads.Redis.locality ()
     in
-    let total_reqs = rounds * requests in
-    let bytes_moved = ref 0 in
-    for seq = 0 to total_reqs - 1 do
-      let req =
-        Workloads.Redis.request_for server ~op ~key_space:requests ~seq
-      in
-      let reply = Workloads.Redis.handle server req in
-      bytes_moved := !bytes_moved + String.length req + String.length reply
-    done;
     (* Server + guest-kernel work. *)
     Macro_vm.add_ops vm (Workloads.Redis.ops server);
     Macro_vm.add_cycles vm (kernel_stack_cycles * total_reqs);
-    (* Virtio-net accesses with coalescing; bounce traffic is the RESP
-       bytes in both directions. *)
-    let accesses =
-      int_of_float
-        (Float.round (mmio_accesses_per_request *. float_of_int total_reqs))
-    in
-    let per_access_bytes = !bytes_moved / max accesses 1 in
     for _ = 1 to accesses do
       Macro_vm.add_net_access vm ~copied_bytes:per_access_bytes
     done;
     Macro_vm.add_faults vm ~pages:64;
-    (Macro_vm.total_cycles vm, total_reqs)
+    Macro_vm.total_cycles vm /. float_of_int total_reqs
   in
-  let n_total, reqs = run_arm Macro_vm.Normal in
-  let c_total, _ = run_arm Macro_vm.Confidential in
-  let per_req_n = n_total /. float_of_int reqs in
-  let per_req_c = c_total /. float_of_int reqs in
+  let per_req_n = cycles_per_req Macro_vm.Normal in
+  let per_req_c = cycles_per_req Macro_vm.(Confidential Exitful) in
+  let per_req_l = cycles_per_req Macro_vm.(Confidential Exitless) in
   let qps cycles_per_req = clock_hz /. cycles_per_req in
+  let drop_pct per_req = (per_req -. per_req_n) /. per_req *. 100. in
   let latency_ms per_req =
     (per_req +. float_of_int client_overhead_cycles) /. clock_hz *. 1000.
   in
@@ -62,16 +60,17 @@ let run_one ?io_mode ~monitor ~rounds ~requests op =
     op;
     normal_kqps = qps per_req_n /. 1000.;
     cvm_kqps = qps per_req_c /. 1000.;
-    throughput_drop_pct = (per_req_c -. per_req_n) /. per_req_c *. 100.;
+    throughput_drop_pct = drop_pct per_req_c;
     normal_latency_ms = n_lat;
     cvm_latency_ms = c_lat;
     latency_increase_pct = (c_lat -. n_lat) /. n_lat *. 100.;
+    exitless_throughput_drop_pct = drop_pct per_req_l;
   }
 
-let run ?(rounds = 10) ?(requests = 10_000) ?io_mode () =
+let run ?(rounds = 10) ?(requests = 10_000) () =
   let tb = Testbed.create () in
   List.map
-    (run_one ?io_mode ~monitor:tb.Testbed.monitor ~rounds ~requests)
+    (run_one ~monitor:tb.Testbed.monitor ~rounds ~requests)
     Workloads.Redis.benchmark_ops
 
 (* {2 Traced end-to-end run} *)
@@ -98,7 +97,7 @@ let run_traced ?(ops = [ "SET"; "GET" ]) ?(requests = 10) ?(key_space = 4)
   let nops = List.length ops in
   let reqs =
     List.init requests (fun seq ->
-        Workloads.Redis.request_for server ~op:(List.nth ops (seq mod nops))
+        Workloads.Redis.request_for ~op:(List.nth ops (seq mod nops))
           ~key_space ~seq)
   in
   (* One TX (request) + one RX fill (reply head) per request, fully

@@ -5,25 +5,26 @@
     ([Workloads.Redis]) with [rounds] × [requests] commands per
     operation type. Every request's server-side instruction mix is
     measured; the event model adds the guest kernel's network-stack
-    cost, the virtio-net MMIO accesses (with interrupt coalescing) and,
-    for the confidential VM, SWIOTLB bounce copies and post-switch
-    refills. *)
+    cost, the virtio-net accesses (with interrupt coalescing) and, for
+    the confidential VM, SWIOTLB bounce copies and, on MMIO kicks,
+    post-switch refills. Each operation's server pass runs once and is
+    priced under all three arms: the normal VM, and the CVM with its
+    virtio-net on exitful MMIO kicks or on the exitless ring. *)
 
 type row = {
   op : string;
   normal_kqps : float;  (** thousand requests per second *)
-  cvm_kqps : float;
+  cvm_kqps : float;  (** the CVM's virtio-net on exitful MMIO kicks *)
   throughput_drop_pct : float;
   normal_latency_ms : float;
   cvm_latency_ms : float;
   latency_increase_pct : float;
+  exitless_throughput_drop_pct : float;
+      (** the drop when the CVM's virtio-net is on the exitless ring *)
 }
 
-val run :
-  ?rounds:int -> ?requests:int -> ?io_mode:Macro_vm.io_mode -> unit -> row list
-(** Defaults: 10 rounds × 10,000 requests, as in the paper. [io_mode]
-    selects the confidential arm's virtio-net path (exitful MMIO kicks
-    vs the exitless shared-memory ring). *)
+val run : ?rounds:int -> ?requests:int -> unit -> row list
+(** Defaults: 10 rounds × 10,000 requests, as in the paper. *)
 
 type traced_stats = {
   t_requests : int;  (** requests baked into the guest program *)

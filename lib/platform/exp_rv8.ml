@@ -25,7 +25,7 @@ let price_arms ~(monitor : Zion.Monitor.t) ~locality ~ops ~target_gcycles =
     Macro_vm.create ~kind:Macro_vm.Normal ~monitor ~locality ()
   in
   let cvm =
-    Macro_vm.create ~kind:Macro_vm.Confidential ~monitor ~locality ()
+    Macro_vm.create ~kind:Macro_vm.(Confidential Exitful) ~monitor ~locality ()
   in
   (* Fix the replication factor so the normal arm reproduces Table I's
      baseline column, then apply the identical work to both arms. *)

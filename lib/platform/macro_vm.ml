@@ -1,9 +1,8 @@
-type kind = Normal | Confidential
 type io_mode = Exitful | Exitless
+type kind = Normal | Confidential of io_mode
 
 type t = {
   kind : kind;
-  io_mode : io_mode;
   monitor : Zion.Monitor.t;
   cost : Riscv.Cost.t;
   locality : Workloads.Opcount.locality;
@@ -16,10 +15,9 @@ type t = {
 let quantum = float_of_int Testbed.quantum_cycles
 let exitless_batch = 8
 
-let create ~kind ?(io_mode = Exitful) ~monitor ~locality () =
+let create ~kind ~monitor ~locality () =
   {
     kind;
-    io_mode;
     monitor;
     cost = (Zion.Monitor.machine monitor).Riscv.Machine.cost;
     locality;
@@ -45,7 +43,7 @@ let add_faults t ~pages =
         t.fault <-
           t.fault
           +. (float_of_int pages *. float_of_int (Riscv.Cost.kvm_fault c))
-    | Confidential ->
+    | Confidential _ ->
         let block_grabs = pages / 64 in
         t.fault <-
           t.fault
@@ -59,7 +57,7 @@ let switch_refill t = Workloads.Opcount.refill_cycles t.cost t.locality
 let mmio_round_trip t =
   match t.kind with
   | Normal -> t.cost.Riscv.Cost.hs_mmio_exit
-  | Confidential ->
+  | Confidential _ ->
       let r = switch_refill t in
       t.refill <- t.refill +. float_of_int r;
       Zion.Monitor.path_cost t.monitor Zion.Monitor.Exit_with_mmio
@@ -85,12 +83,12 @@ let add_blk_request t ~bytes =
   let copy =
     match t.kind with
     | Normal -> 0
-    | Confidential -> (bytes + 7) / 8 * bounce_word_cycles
+    | Confidential _ -> (bytes + 7) / 8 * bounce_word_cycles
   in
   let io_path =
-    match (t.kind, t.io_mode) with
-    | Confidential, Exitless -> ring_access_cycles t
-    | _ ->
+    match t.kind with
+    | Confidential Exitless -> ring_access_cycles t
+    | Normal | Confidential Exitful ->
         let accesses = 2 (* kick write + status read *) in
         accesses * mmio_round_trip t
   in
@@ -100,19 +98,19 @@ let add_net_access t ~copied_bytes =
   let copy =
     match t.kind with
     | Normal -> 0
-    | Confidential -> (copied_bytes + 7) / 8 * bounce_word_cycles
+    | Confidential _ -> (copied_bytes + 7) / 8 * bounce_word_cycles
   in
   let io_path =
-    match (t.kind, t.io_mode) with
-    | Confidential, Exitless -> ring_access_cycles t
-    | _ -> mmio_round_trip t
+    match t.kind with
+    | Confidential Exitless -> ring_access_cycles t
+    | Normal | Confidential Exitful -> mmio_round_trip t
   in
   t.io <- t.io +. float_of_int (io_path + copy)
 
 let tick_cost t =
   match t.kind with
   | Normal -> float_of_int t.cost.Riscv.Cost.hs_timer_tick
-  | Confidential ->
+  | Confidential _ ->
       float_of_int
         (Zion.Monitor.path_cost t.monitor Zion.Monitor.Exit_plain
         + Zion.Monitor.path_cost t.monitor Zion.Monitor.Entry_plain

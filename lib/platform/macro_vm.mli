@@ -6,10 +6,10 @@
     replay as an {e event stream} — instruction mixes, demand-paging
     faults, device requests, timer ticks — priced by the same cost
     compositions the live monitor charges ([Zion.Monitor.path_cost]) and
-    the same KVM fault/emulation constants. Both arms of every
-    comparison (normal VM vs confidential VM) share all constants;
-    they differ only in which paths their events take, mirroring the
-    real machines.
+    the same KVM fault/emulation constants. Every arm (a normal VM, a
+    confidential VM with exitful or exitless I/O) shares all constants;
+    the arms differ only in which paths their events take, mirroring
+    the real machines, so one workload run is priced under each.
 
     The confidential arm additionally pays, per world switch, the
     microarchitectural refill implied by ZION's PMP/hgatp switching
@@ -17,20 +17,24 @@
     the effect the paper's §V.B.2 discussion attributes the residual
     overhead to. *)
 
-type kind = Normal | Confidential
-
 type io_mode =
-  | Exitful  (** MMIO kick + status read: two world switches per request *)
+  | Exitful
+      (** MMIO doorbells: a world switch round trip per access (a
+          block request's kick write and status read are two) *)
   | Exitless
       (** ring publish with plain stores; host polling beat amortized
-          over {!exitless_batch} requests. Confidential arm only —
-          normal VMs always take the HS MMIO path. *)
+          over {!exitless_batch} requests *)
+
+type kind =
+  | Normal  (** a KVM guest: HS-mode MMIO exits, no bounce copies *)
+  | Confidential of io_mode
+      (** a ZION CVM whose virtio devices take the given path; either
+          way its I/O bytes go through the SWIOTLB bounce buffer *)
 
 type t
 
 val create :
   kind:kind ->
-  ?io_mode:io_mode ->
   monitor:Zion.Monitor.t ->
   locality:Workloads.Opcount.locality ->
   unit ->
@@ -48,13 +52,15 @@ val add_faults : t -> pages:int -> unit
     grab every 64 pages). *)
 
 val add_blk_request : t -> bytes:int -> unit
-(** One virtio-blk request: two MMIO accesses (kick + status) plus
-    device service time; the confidential arm adds the SWIOTLB bounce
-    copy and the per-switch refill. *)
+(** One virtio-blk request: device service time plus either two MMIO
+    accesses (kick + status) or, for [Confidential Exitless], one ring
+    access. Confidential arms add the SWIOTLB bounce copy, and an
+    exitful one the per-switch refill. *)
 
 val add_net_access : t -> copied_bytes:int -> unit
-(** One MMIO access on the net device with [copied_bytes] moved through
-    the bounce buffer (confidential arm only pays the copy). *)
+(** One access on the net device (an MMIO access, or a ring access for
+    [Confidential Exitless]) with [copied_bytes] moved through the
+    bounce buffer (only confidential arms pay the copy). *)
 
 val total_cycles : t -> float
 (** Total modeled cycles including timer-tick overhead: every 10 ms
@@ -64,8 +70,8 @@ val breakdown : t -> (string * float) list
 (** Named components of the total (work, faults, io, ticks, refill). *)
 
 val blk_service_cycles : bytes:int -> int
-(** Device-side service time for one block request (shared by both
-    arms): fixed command overhead plus streaming transfer. *)
+(** Device-side service time for one block request (shared by every
+    arm): fixed command overhead plus streaming transfer. *)
 
 val bounce_word_cycles : int
 (** Effective cycles per 8-byte word of SWIOTLB copy. *)

@@ -9,9 +9,12 @@
     per-request byte count — is priced by the experiment layer under
     normal-VM or CVM I/O costs.
 
-    The model also performs the buffer work for real: each record is
-    memcpy-ed (charged per byte) and checksummed so a validation digest
-    comes out. *)
+    The model computes two things, both in closed form from the sizes:
+    the CPU work of the record loop (one syscall's bookkeeping plus a
+    doubleword memcpy of a full record, per record, the last one
+    included), and the device requests — the bytes past the dirty limit
+    (writes) or the page cache (reads), as full [flush_threshold]
+    requests followed by the remainder. *)
 
 type op = Write | Read
 
@@ -23,7 +26,6 @@ type run = {
   op : op;
   events : event list;  (** in issue order *)
   ops : Opcount.t;  (** CPU work: record memcpy + bookkeeping *)
-  checksum : string;
 }
 
 val flush_threshold : int
@@ -31,6 +33,8 @@ val flush_threshold : int
     (128 KiB, matching a typical max request size). *)
 
 val run : op:op -> file_kb:int -> record_kb:int -> run
+(** A record larger than the file is clamped to the file size.
+    @raise Invalid_argument on a non-positive size. *)
 
 val file_sizes_kb : int list
 (** Figure 4's x axis: 64 KiB to 512 MiB in powers of four. *)

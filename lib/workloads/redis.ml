@@ -2,23 +2,17 @@ let mix = Rv8_kernels.mix
 
 type entry =
   | Str of string
-  | List of string list * string list  (* front, reversed back *)
+  | List of {
+      front : string list;
+      back : string list;  (* reversed *)
+      len : int;  (* both halves: a push replies without walking them *)
+    }
   | Set of (string, unit) Hashtbl.t
 
 type t = { table : (string, entry) Hashtbl.t; ops : Opcount.t }
 
 let create () = { table = Hashtbl.create 1024; ops = Opcount.zero () }
 let ops t = t.ops
-let reset_ops t =
-  let z = Opcount.zero () in
-  t.ops.Opcount.alu <- z.Opcount.alu;
-  t.ops.Opcount.mul <- 0;
-  t.ops.Opcount.div <- 0;
-  t.ops.Opcount.load <- 0;
-  t.ops.Opcount.store <- 0;
-  t.ops.Opcount.branch <- 0;
-  t.ops.Opcount.jump <- 0;
-  t.ops.Opcount.alu <- 0
 
 let dbsize t = Hashtbl.length t.table
 
@@ -40,9 +34,12 @@ let ok = Resp.Simple "OK"
 
 let get_list t key =
   match Hashtbl.find_opt t.table key with
-  | Some (List (f, b)) -> Ok (f, b)
+  | Some (List l) -> Ok (l.front, l.back, l.len)
   | Some _ -> Stdlib.Error wrong_type
-  | None -> Ok ([], [])
+  | None -> Ok ([], [], 0)
+
+let set_list t key front back len =
+  Hashtbl.replace t.table key (List { front; back; len })
 
 let get_set t key =
   match Hashtbl.find_opt t.table key with
@@ -52,8 +49,6 @@ let get_set t key =
       let s = Hashtbl.create 8 in
       Hashtbl.replace t.table key (Set s);
       Ok s
-
-let list_len (f, b) = List.length f + List.length b
 
 let exec t args =
   Opcount.add t.ops dispatch_mix;
@@ -95,36 +90,36 @@ let exec t args =
       Opcount.add_scaled t.ops list_op_mix (List.length values);
       match get_list t key with
       | Stdlib.Error e -> e
-      | Ok (f, b) ->
-          let f = List.rev_append values f in
-          Hashtbl.replace t.table key (List (f, b));
-          Resp.Integer (Int64.of_int (list_len (f, b)))
+      | Ok (f, b, len) ->
+          let len = len + List.length values in
+          set_list t key (List.rev_append values f) b len;
+          Resp.Integer (Int64.of_int len)
     end
   | [ "RPUSH" ], _ :: key :: values when values <> [] -> begin
       Opcount.add t.ops hash_lookup_mix;
       Opcount.add_scaled t.ops list_op_mix (List.length values);
       match get_list t key with
       | Stdlib.Error e -> e
-      | Ok (f, b) ->
-          let b = List.rev_append values b in
-          Hashtbl.replace t.table key (List (f, b));
-          Resp.Integer (Int64.of_int (list_len (f, b)))
+      | Ok (f, b, len) ->
+          let len = len + List.length values in
+          set_list t key f (List.rev_append values b) len;
+          Resp.Integer (Int64.of_int len)
     end
   | [ "LPOP" ], [ _; key ] -> begin
       Opcount.add t.ops hash_lookup_mix;
       Opcount.add t.ops list_op_mix;
       match get_list t key with
       | Stdlib.Error e -> e
-      | Ok ([], []) -> Resp.Bulk None
-      | Ok ([], b) -> begin
+      | Ok ([], [], _) -> Resp.Bulk None
+      | Ok ([], b, len) -> begin
           match List.rev b with
           | x :: f ->
-              Hashtbl.replace t.table key (List (f, []));
+              set_list t key f [] (len - 1);
               Resp.Bulk (Some x)
           | [] -> Resp.Bulk None
         end
-      | Ok (x :: f, b) ->
-          Hashtbl.replace t.table key (List (f, b));
+      | Ok (x :: f, b, len) ->
+          set_list t key f b (len - 1);
           Resp.Bulk (Some x)
     end
   | [ "RPOP" ], [ _; key ] -> begin
@@ -132,14 +127,14 @@ let exec t args =
       Opcount.add t.ops list_op_mix;
       match get_list t key with
       | Stdlib.Error e -> e
-      | Ok ([], []) -> Resp.Bulk None
-      | Ok (f, x :: b) ->
-          Hashtbl.replace t.table key (List (f, b));
+      | Ok ([], [], _) -> Resp.Bulk None
+      | Ok (f, x :: b, len) ->
+          set_list t key f b (len - 1);
           Resp.Bulk (Some x)
-      | Ok (f, []) -> begin
+      | Ok (f, [], len) -> begin
           match List.rev f with
           | x :: rest ->
-              Hashtbl.replace t.table key (List ([], rest));
+              set_list t key [] rest (len - 1);
               Resp.Bulk (Some x)
           | [] -> Resp.Bulk None
         end
@@ -207,7 +202,7 @@ let exec t args =
       | Stdlib.Error e, _, _ -> e
       | Ok _, None, _ | Ok _, _, None ->
           Resp.Error "ERR value is not an integer or out of range"
-      | Ok (f, b), Some start, Some stop ->
+      | Ok (f, b, _), Some start, Some stop ->
           let all = f @ List.rev b in
           let n = List.length all in
           let norm i = if i < 0 then max 0 (n + i) else min i (n - 1) in
@@ -265,7 +260,7 @@ let handle_traced ?trace t request =
 let benchmark_ops =
   [ "PING"; "SET"; "GET"; "INCR"; "LPUSH"; "RPUSH"; "LPOP"; "RPOP"; "SADD" ]
 
-let request_for _t ~op ~key_space ~seq =
+let request_for ~op ~key_space ~seq =
   let key = Printf.sprintf "key:%06d" (seq mod key_space) in
   let value = "xxx" (* redis-benchmark -d 3 default *) in
   let args =

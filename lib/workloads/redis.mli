@@ -32,8 +32,6 @@ val exec : t -> string list -> Resp.value
 val ops : t -> Opcount.t
 (** Cumulative instruction mix of all requests handled. *)
 
-val reset_ops : t -> unit
-
 val dbsize : t -> int
 
 val locality : Opcount.locality
@@ -44,7 +42,7 @@ val benchmark_ops : string list
 (** The operation names Figure 3 plots: PING, SET, GET, INCR, LPUSH,
     RPUSH, LPOP, RPOP, SADD. *)
 
-val request_for : t -> op:string -> key_space:int -> seq:int -> string
+val request_for : op:string -> key_space:int -> seq:int -> string
 (** Build the [seq]-th RESP request of a redis-benchmark-style run for
     one operation type (keys cycle through [key_space] values, payloads
     are 3-byte values like the default redis-benchmark -d 3). *)

@@ -87,7 +87,8 @@ let macro_tests =
             ~monitor:tb.Platform.Testbed.monitor ~locality ()
         in
         let c =
-          Platform.Macro_vm.create ~kind:Platform.Macro_vm.Confidential
+          Platform.Macro_vm.create
+            ~kind:Platform.Macro_vm.(Confidential Exitful)
             ~monitor:tb.Platform.Testbed.monitor ~locality ()
         in
         Platform.Macro_vm.add_ops n work;
@@ -112,7 +113,7 @@ let macro_tests =
         in
         let n = mk Platform.Macro_vm.Normal in
         Platform.Macro_vm.add_blk_request n ~bytes:4096;
-        let c = mk Platform.Macro_vm.Confidential in
+        let c = mk Platform.Macro_vm.(Confidential Exitful) in
         Platform.Macro_vm.add_blk_request c ~bytes:4096;
         let tn = Platform.Macro_vm.total_cycles n in
         let tc = Platform.Macro_vm.total_cycles c in
@@ -129,7 +130,8 @@ let macro_tests =
           { Workloads.Opcount.hot_pages = 8; hot_dlines = 8; hot_ilines = 8 }
         in
         let vm =
-          Platform.Macro_vm.create ~kind:Platform.Macro_vm.Confidential
+          Platform.Macro_vm.create
+            ~kind:Platform.Macro_vm.(Confidential Exitful)
             ~monitor:tb.Platform.Testbed.monitor ~locality ()
         in
         Platform.Macro_vm.add_cycles vm 10_000_000;
@@ -199,7 +201,15 @@ let redis_iozone_tests =
         let drop = Platform.Exp_redis.average_throughput_drop rows in
         let lat = Platform.Exp_redis.average_latency_increase rows in
         Alcotest.(check bool) "drop 4-7%" true (drop > 4. && drop < 7.);
-        Alcotest.(check bool) "latency 3-6%" true (lat > 3. && lat < 6.));
+        Alcotest.(check bool) "latency 3-6%" true (lat > 3. && lat < 6.);
+        List.iter
+          (fun (r : Platform.Exp_redis.row) ->
+            Alcotest.(check bool)
+              (r.Platform.Exp_redis.op ^ ": the ring drops less")
+              true
+              (r.Platform.Exp_redis.exitless_throughput_drop_pct
+              < r.Platform.Exp_redis.throughput_drop_pct))
+          rows);
     Alcotest.test_case "IOZone overheads track Figure 4" `Slow (fun () ->
         let points = Platform.Exp_iozone.run () in
         Alcotest.(check bool)
@@ -229,7 +239,17 @@ let redis_iozone_tests =
         in
         let last = List.nth overheads (List.length overheads - 1) in
         let first = List.hd overheads in
-        Alcotest.(check bool) "monotone-ish growth" true (last > first));
+        Alcotest.(check bool) "monotone-ish growth" true (last > first);
+        (* the ring only cheapens device requests: never slower, and
+           faster once the file outgrows the page cache *)
+        List.iter
+          (fun (p : Platform.Exp_iozone.point) ->
+            let l = p.Platform.Exp_iozone.cvm_exitless_mb_s
+            and c = p.Platform.Exp_iozone.cvm_mb_s in
+            Alcotest.(check bool) "the ring is never slower" true (l >= c);
+            if p.Platform.Exp_iozone.file_kb > 131072 then
+              Alcotest.(check bool) "the ring is faster" true (l > c))
+          points);
   ]
 
 let ablation_tests =

@@ -326,9 +326,102 @@ let redis_props =
         let s = Workloads.Redis.create () in
         ignore (exec s [ "SET"; k; v ]);
         exec s [ "GET"; k ] = Workloads.Resp.Bulk (Some v));
+    QCheck.Test.make ~name:"list commands match a list model" ~count:300
+      (QCheck.make
+         ~print:(fun cmds ->
+           String.concat "; " (List.map (String.concat " ") cmds))
+         QCheck.Gen.(
+           list_size (0 -- 40)
+             (let values =
+                list_size (1 -- 3)
+                  (string_size ~gen:(char_range 'a' 'z') (1 -- 2))
+              in
+              frequency
+                [
+                  (2, map (fun vs -> "LPUSH" :: "l" :: vs) values);
+                  (2, map (fun vs -> "RPUSH" :: "l" :: vs) values);
+                  (1, return [ "LPOP"; "l" ]);
+                  (1, return [ "RPOP"; "l" ]);
+                ])))
+      (fun cmds ->
+        let s = Workloads.Redis.create () in
+        let bulk x = Workloads.Resp.Bulk x in
+        let step model cmd =
+          let model, expected =
+            match (cmd, model) with
+            | "LPUSH" :: _ :: vs, _ ->
+                let m = List.rev_append vs model in
+                (m, Workloads.Resp.Integer (Int64.of_int (List.length m)))
+            | "RPUSH" :: _ :: vs, _ ->
+                let m = model @ vs in
+                (m, Workloads.Resp.Integer (Int64.of_int (List.length m)))
+            | [ "LPOP"; _ ], x :: rest -> (rest, bulk (Some x))
+            | [ "RPOP"; _ ], _ :: _ ->
+                let r = List.rev model in
+                (List.rev (List.tl r), bulk (Some (List.hd r)))
+            | _ -> (model, bulk None)
+          in
+          let reply = exec s cmd in
+          if reply <> expected then
+            QCheck.Test.fail_reportf "%s: wrong reply" (String.concat " " cmd);
+          model
+        in
+        let model = List.fold_left step [] cmds in
+        exec s [ "LRANGE"; "l"; "0"; "-1" ]
+        = Workloads.Resp.Array (List.map (fun v -> bulk (Some v)) model));
   ]
 
 (* ---------- IOZone ---------- *)
+
+(* Reference model for [Iozone.run], which computes in closed form what
+   this loop computes one record at a time. Each record pays one
+   syscall's bookkeeping and a full record's memcpy; a threshold-sized
+   device request goes out whenever enough syncable bytes have
+   accumulated, and the remainder goes out last. The mixes and cache
+   limits are the model's calibration. *)
+let iozone_oracle ~op ~file_kb ~record_kb =
+  let mix = Workloads.Rv8_kernels.mix in
+  let per_record_word = mix ~alu:1 ~load:1 ~store:1 () in
+  let per_record_fixed =
+    mix ~alu:1300 ~load:500 ~store:250 ~branch:270 ~jump:110 ()
+  in
+  let file_bytes = file_kb * 1024 in
+  let record_bytes = min (record_kb * 1024) file_bytes in
+  let nrecords = (file_bytes + record_bytes - 1) / record_bytes in
+  let sync_bytes =
+    match op with
+    | Workloads.Iozone.Write -> max 0 (file_bytes - (32 * 1024 * 1024))
+    | Workloads.Iozone.Read -> max 0 (file_bytes - (128 * 1024 * 1024))
+  in
+  let threshold = Workloads.Iozone.flush_threshold in
+  let ops = Workloads.Opcount.zero () in
+  let events = ref [] in
+  let synced = ref 0 and processed = ref 0 in
+  for _ = 1 to nrecords do
+    Workloads.Opcount.add ops per_record_fixed;
+    Workloads.Opcount.add_scaled ops per_record_word ((record_bytes + 7) / 8);
+    processed := !processed + record_bytes;
+    for _ = 1 to (min sync_bytes !processed - !synced) / threshold do
+      events := Workloads.Iozone.Io_request { bytes = threshold } :: !events;
+      synced := !synced + threshold
+    done
+  done;
+  let rest = sync_bytes - !synced in
+  if rest > 0 then
+    events := Workloads.Iozone.Io_request { bytes = rest } :: !events;
+  (ops, List.rev !events)
+
+let iozone_matches_oracle (op, file_kb, record_kb) =
+  let r = Workloads.Iozone.run ~op ~file_kb ~record_kb in
+  let ops, events = iozone_oracle ~op ~file_kb ~record_kb in
+  r.Workloads.Iozone.ops = ops && r.Workloads.Iozone.events = events
+
+let iozone_case_to_string (op, file_kb, record_kb) =
+  Printf.sprintf "%s file=%d KiB record=%d KiB"
+    (match op with
+    | Workloads.Iozone.Write -> "write"
+    | Workloads.Iozone.Read -> "read")
+    file_kb record_kb
 
 let iozone_tests =
   [
@@ -385,17 +478,46 @@ let iozone_tests =
           "more ops" true
           (Workloads.Opcount.total w8.Workloads.Iozone.ops
           > Workloads.Opcount.total w512.Workloads.Iozone.ops));
-    Alcotest.test_case "deterministic checksum" `Quick (fun () ->
-        let a =
-          Workloads.Iozone.run ~op:Workloads.Iozone.Write ~file_kb:256
-            ~record_kb:8
+    Alcotest.test_case "matches the record loop on Figure 4" `Quick
+      (fun () ->
+        let fig4 =
+          List.concat_map
+            (fun op ->
+              List.concat_map
+                (fun file_kb ->
+                  List.map
+                    (fun record_kb -> (op, file_kb, record_kb))
+                    Workloads.Iozone.record_sizes_kb)
+                Workloads.Iozone.file_sizes_kb)
+            [ Workloads.Iozone.Write; Workloads.Iozone.Read ]
         in
-        let b =
-          Workloads.Iozone.run ~op:Workloads.Iozone.Write ~file_kb:256
-            ~record_kb:8
-        in
-        Alcotest.(check string)
-          "same" a.Workloads.Iozone.checksum b.Workloads.Iozone.checksum);
+        Alcotest.(check int) "48 points" 48 (List.length fig4);
+        (* plus a record larger than the file, and records that do not
+           divide a file past the dirty limit or the page cache *)
+        List.iter
+          (fun case ->
+            Alcotest.(check bool)
+              (iozone_case_to_string case)
+              true (iozone_matches_oracle case))
+          (fig4
+          @ [
+              (Workloads.Iozone.Write, 100, 512);
+              (Workloads.Iozone.Write, 33_000, 7);
+              (Workloads.Iozone.Read, 140_000, 300);
+            ]));
+  ]
+
+let iozone_props =
+  [
+    QCheck.Test.make ~name:"matches the record loop on random sizes"
+      ~count:300
+      (QCheck.make ~print:iozone_case_to_string
+         QCheck.Gen.(
+           triple
+             (oneofl [ Workloads.Iozone.Write; Workloads.Iozone.Read ])
+             (oneof [ 1 -- 1024; 1 -- 600_000 ])
+             (1 -- 2048)))
+      iozone_matches_oracle;
   ]
 
 let suite =
@@ -410,4 +532,5 @@ let suite =
     ("workloads.redis", redis_tests);
     ("workloads.redis.properties", List.map QCheck_alcotest.to_alcotest redis_props);
     ("workloads.iozone", iozone_tests);
+    ("workloads.iozone.properties", List.map QCheck_alcotest.to_alcotest iozone_props);
   ]
