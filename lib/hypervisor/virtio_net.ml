@@ -10,7 +10,7 @@ type t = {
   mutable rx_buf_gpa : int64;
   mutable last_rx_len : int64;
   rx : string Queue.t;
-  mutable tx : string list; (* newest first *)
+  mutable tx_count : int;
   mutable trace : Metrics.Trace.t option;
 }
 
@@ -23,7 +23,7 @@ let create ~bus =
     rx_buf_gpa = 0L;
     last_rx_len = 0L;
     rx = Queue.create ();
-    tx = [];
+    tx_count = 0;
     trace = None;
   }
 
@@ -95,7 +95,7 @@ let do_tx t =
         match dma_read_gpa t data_gpa len with
         | None -> ()
         | Some pkt -> begin
-            t.tx <- pkt :: t.tx;
+            t.tx_count <- t.tx_count + 1;
             (match obs t with
             | Some tr ->
                 Metrics.Trace.instant tr
@@ -149,7 +149,7 @@ let serve_ring_tx t ~data_gpa ~len =
     match dma_read_gpa t data_gpa len with
     | None -> Error "net.dma"
     | Some pkt ->
-        t.tx <- pkt :: t.tx;
+        t.tx_count <- t.tx_count + 1;
         (match t.peer pkt with
         | Some reply -> Queue.add reply t.rx
         | None -> ());
@@ -178,6 +178,5 @@ let mmio_write t off _len v =
   | 0x18 -> t.rx_buf_gpa <- v
   | _ -> ()
 
-let tx_packets t = List.rev t.tx
-let tx_count t = List.length t.tx
+let tx_count t = t.tx_count
 let rx_pending t = Queue.length t.rx

@@ -29,7 +29,8 @@ val set_trace : t -> Metrics.Trace.t -> unit
 
 val set_peer : t -> (string -> string option) -> unit
 (** [set_peer t f]: [f packet] is called on every TX packet; a [Some
-    reply] is appended to the RX queue. *)
+    reply] is appended to the RX queue. The device keeps no copy of
+    what it sent: a caller that wants the packets collects them here. *)
 
 val inject_rx : t -> string -> unit
 (** Queue a packet for the guest (client-initiated traffic). *)
@@ -47,8 +48,7 @@ val serve_ring_rx : t -> data_gpa:int64 -> len:int -> (int, string) result
     descriptor's buffer. [Ok 0] when the queue is empty; an oversized
     packet is left queued and reported as an error. *)
 
-val tx_packets : t -> string list
-(** Transmitted packets, oldest first. *)
-
 val tx_count : t -> int
+(** Packets transmitted so far, over MMIO kicks and the exitless ring. *)
+
 val rx_pending : t -> int

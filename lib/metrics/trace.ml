@@ -17,7 +17,7 @@ let dummy =
 type t = {
   mutable enabled : bool;
   cap : int;
-  buf : event array;
+  mutable buf : event array; (* [||] until the first [enable] *)
   mutable next : int; (* ring write cursor *)
   mutable recorded : int;
   mutable lost : int; (* wraparound losses folded in by [clear] *)
@@ -30,17 +30,22 @@ type t = {
 
 let create ?(capacity = 65536) ~clock () =
   if capacity <= 0 then invalid_arg "Trace.create: non-positive capacity";
-  { enabled = false; cap = capacity; buf = Array.make capacity dummy;
+  { enabled = false; cap = capacity; buf = [||];
     next = 0; recorded = 0; lost = 0; ctx = Span.none; ctx_args = [];
     coalesced = 0; counter_idx = Hashtbl.create 16; clock }
 
-let enable t = t.enabled <- true
+(* The ring is allocated here, not in [create]: every monitor owns a
+   trace, and most never record into it. Recording only happens while
+   enabled, so the recording paths never see the empty ring. *)
+let enable t =
+  if Array.length t.buf = 0 then t.buf <- Array.make t.cap dummy;
+  t.enabled <- true
 let disable t = t.enabled <- false
 let is_enabled t = t.enabled
 
 let clear t =
   t.lost <- t.lost + max 0 (t.recorded - t.cap);
-  Array.fill t.buf 0 t.cap dummy;
+  Array.fill t.buf 0 (Array.length t.buf) dummy;
   t.next <- 0;
   t.recorded <- 0;
   Hashtbl.reset t.counter_idx

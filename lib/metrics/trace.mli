@@ -42,9 +42,16 @@ type t
 
 val create : ?capacity:int -> clock:(unit -> int) -> unit -> t
 (** Default capacity is 65536 events. [clock] is sampled once per
-    recorded event; bind it to [Ledger.now] of the platform ledger. *)
+    recorded event; bind it to [Ledger.now] of the platform ledger.
+    No ring is allocated yet: a trace that is never enabled costs a
+    few dozen words, and reads as an empty trace of the configured
+    {!capacity}. *)
 
 val enable : t -> unit
+(** Start recording. The first call allocates the ring at the
+    capacity given to {!create}; {!disable} and later [enable]s keep
+    it. *)
+
 val disable : t -> unit
 val is_enabled : t -> bool
 

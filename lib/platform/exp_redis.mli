@@ -3,7 +3,10 @@
 
     A redis-benchmark-style client drives the real RESP server
     ([Workloads.Redis]) with [rounds] × [requests] commands per
-    operation type. Every request's server-side instruction mix is
+    operation type. The operation types run in order on one server,
+    as redis-benchmark runs its tests, so LPOP and RPOP pop what LPUSH
+    and RPUSH pushed; each is priced from the server work its own pass
+    added. Every request's server-side instruction mix is
     measured; the event model adds the guest kernel's network-stack
     cost, the virtio-net accesses (with interrupt coalescing) and, for
     the confidential VM, SWIOTLB bounce copies and, on MMIO kicks,
@@ -21,6 +24,9 @@ type row = {
   latency_increase_pct : float;
   exitless_throughput_drop_pct : float;
       (** the drop when the CVM's virtio-net is on the exitless ring *)
+  nil_replies : int;
+      (** requests answered with a nil bulk string: a GET of a missing
+          key or a pop of an empty list *)
 }
 
 val run : ?rounds:int -> ?requests:int -> unit -> row list

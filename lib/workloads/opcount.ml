@@ -11,6 +11,19 @@ type t = {
 let zero () =
   { alu = 0; mul = 0; div = 0; load = 0; store = 0; branch = 0; jump = 0 }
 
+let copy t = { t with alu = t.alu }
+
+let diff after before =
+  {
+    alu = after.alu - before.alu;
+    mul = after.mul - before.mul;
+    div = after.div - before.div;
+    load = after.load - before.load;
+    store = after.store - before.store;
+    branch = after.branch - before.branch;
+    jump = after.jump - before.jump;
+  }
+
 let add acc x =
   acc.alu <- acc.alu + x.alu;
   acc.mul <- acc.mul + x.mul;

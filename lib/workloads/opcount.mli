@@ -20,6 +20,12 @@ type t = {
 
 val zero : unit -> t
 
+val copy : t -> t
+
+val diff : t -> t -> t
+(** [diff after before] is the mix accumulated between two snapshots
+    of one counter. *)
+
 val add : t -> t -> unit
 (** [add acc x] accumulates [x] into [acc]. *)
 

@@ -41,6 +41,14 @@ let get_list t key =
 let set_list t key front back len =
   Hashtbl.replace t.table key (List { front; back; len })
 
+(* The first [n] elements of [l], and the rest. *)
+let split_at n l =
+  let rec go n acc = function
+    | x :: rest when n > 0 -> go (n - 1) (x :: acc) rest
+    | rest -> (List.rev acc, rest)
+  in
+  go n [] l
+
 let get_set t key =
   match Hashtbl.find_opt t.table key with
   | Some (Set s) -> Ok s
@@ -112,9 +120,13 @@ let exec t args =
       | Stdlib.Error e -> e
       | Ok ([], [], _) -> Resp.Bulk None
       | Ok ([], b, len) -> begin
-          match List.rev b with
+          (* Refill [front] with only the older half of [back] (all
+             [len] elements are in it), so pops that alternate ends
+             stay amortised O(1). *)
+          let b, older = split_at (len / 2) b in
+          match List.rev older with
           | x :: f ->
-              set_list t key f [] (len - 1);
+              set_list t key f b (len - 1);
               Resp.Bulk (Some x)
           | [] -> Resp.Bulk None
         end
@@ -132,9 +144,10 @@ let exec t args =
           set_list t key f b (len - 1);
           Resp.Bulk (Some x)
       | Ok (f, [], len) -> begin
-          match List.rev f with
-          | x :: rest ->
-              set_list t key [] rest (len - 1);
+          let f, newer = split_at (len / 2) f in
+          match List.rev newer with
+          | x :: b ->
+              set_list t key f b (len - 1);
               Resp.Bulk (Some x)
           | [] -> Resp.Bulk None
         end

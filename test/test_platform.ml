@@ -250,6 +250,19 @@ let redis_iozone_tests =
             if p.Platform.Exp_iozone.file_kb > 131072 then
               Alcotest.(check bool) "the ring is faster" true (l > c))
           points);
+    Alcotest.test_case "Figure 3's pops pop what was pushed" `Quick
+      (fun () ->
+        (* redis-benchmark runs its tests in order on one server: LPOP
+           and RPOP find the list LPUSH and RPUSH built, and GET finds
+           the keys SET wrote. *)
+        let rows = Platform.Exp_redis.run ~rounds:1 ~requests:500 () in
+        let nils (r : Platform.Exp_redis.row) =
+          (r.Platform.Exp_redis.op, r.Platform.Exp_redis.nil_replies)
+        in
+        Alcotest.(check (list (pair string int)))
+          "nil replies per op"
+          (List.map (fun (op, _) -> (op, 0)) (List.map nils rows))
+          (List.map nils rows));
   ]
 
 let ablation_tests =

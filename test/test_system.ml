@@ -82,15 +82,17 @@ let cvm_tests =
         in
         let h = make_guest kvm prog in
         let net = Hypervisor.Mmio_emul.net (Hypervisor.Kvm.devices kvm) in
+        let sent = ref [] in
         Hypervisor.Virtio_net.set_peer net (fun pkt ->
+            sent := pkt :: !sent;
             if pkt = "PING" then Some "PONG" else Some "????");
         check_outcome "outcome" "shutdown" (run_to_end kvm h);
         Alcotest.(check string)
           "first reply byte" "P"
           (Machine.console_output machine);
-        Alcotest.(check (list string))
-          "tx seen" [ "PING" ]
-          (Hypervisor.Virtio_net.tx_packets net));
+        Alcotest.(check (list string)) "tx seen" [ "PING" ] (List.rev !sent);
+        Alcotest.(check int) "tx counted" 1
+          (Hypervisor.Virtio_net.tx_count net));
     Alcotest.test_case "guest obtains a verifiable attestation report"
       `Quick (fun () ->
         let machine, monitor, kvm = make_stack () in

@@ -198,6 +198,17 @@ let assert_no_alloc_per_op name f =
   if delta > 100. then
     Alcotest.failf "%s allocated %.0f minor words over 10k ops" name delta
 
+(* Heap words [f] allocates, minor and major alike (a large array goes
+   straight to the major heap). The minor collections at both ends make
+   the count exact: without them OCaml 5 only accounts minor
+   allocations at collection time. *)
+let heap_words f =
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  let r = f () in
+  Gc.minor ();
+  ((Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8), r)
+
 let overhead_tests =
   [
     Alcotest.test_case "disabled trace records allocate nothing" `Quick
@@ -244,6 +255,63 @@ let overhead_tests =
         Alcotest.(check (float 0.)) "same minor words" off armed;
         Alcotest.(check int) "interval not yet expired" 0
           (Metrics.Profile.samples p));
+    Alcotest.test_case "an untraced trace holds no ring" `Quick (fun () ->
+        let clock () = 0 in
+        let words, tr =
+          heap_words (fun () ->
+              Metrics.Trace.create ~capacity:1_000_000 ~clock ())
+        in
+        if words >= 64. then
+          Alcotest.failf "create allocated %.0f words (>= 64)" words;
+        Alcotest.(check int) "configured capacity" 1_000_000
+          (Metrics.Trace.capacity tr);
+        Alcotest.(check int) "no events" 0
+          (List.length (Metrics.Trace.events tr));
+        Alcotest.(check int) "recorded" 0 (Metrics.Trace.recorded tr);
+        Alcotest.(check int) "dropped" 0 (Metrics.Trace.dropped tr);
+        Alcotest.(check int) "coalesced" 0 (Metrics.Trace.coalesced tr);
+        (* The same exports as a trace that was enabled, saw nothing and
+           was switched off again. *)
+        let used = Metrics.Trace.create ~capacity:1_000_000 ~clock () in
+        Metrics.Trace.enable used;
+        Metrics.Trace.disable used;
+        let words, () = heap_words (fun () -> Metrics.Trace.clear tr) in
+        if words >= 64. then
+          Alcotest.failf "clear allocated %.0f words (>= 64)" words;
+        Metrics.Trace.clear used;
+        Alcotest.(check string) "jsonl" (Metrics.Trace.to_jsonl used)
+          (Metrics.Trace.to_jsonl tr);
+        Alcotest.(check string) "chrome" (Metrics.Trace.to_chrome used)
+          (Metrics.Trace.to_chrome tr));
+    Alcotest.test_case "the first enable allocates the ring once" `Quick
+      (fun () ->
+        let capacity = 100_000 in
+        let tr = Metrics.Trace.create ~capacity ~clock:(fun () -> 0) () in
+        let first, () = heap_words (fun () -> Metrics.Trace.enable tr) in
+        if first < float_of_int capacity then
+          Alcotest.failf "first enable allocated %.0f words (< %d)" first
+            capacity;
+        Metrics.Trace.instant tr "x";
+        let again, () =
+          heap_words (fun () ->
+              Metrics.Trace.disable tr;
+              Metrics.Trace.enable tr)
+        in
+        if again >= 64. then
+          Alcotest.failf "disable + enable allocated %.0f words" again;
+        Alcotest.(check int) "the event survives" 1
+          (List.length (Metrics.Trace.events tr)));
+    Alcotest.test_case "an untraced testbed allocates no ring" `Quick
+      (fun () ->
+        (* About 6.7k words; a 65,536-slot ring alone would be 65.5k. *)
+        ignore (Platform.Testbed.create ());
+        let words, tb = heap_words (fun () -> Platform.Testbed.create ()) in
+        Alcotest.(check bool) "tracing off" false
+          (Metrics.Trace.is_enabled
+             (Zion.Monitor.trace tb.Platform.Testbed.monitor));
+        if words >= 16_384. then
+          Alcotest.failf "Testbed.create allocated %.0f words (>= 16384)"
+            words);
   ]
 
 (* ---------- guest PC-sampling profiler ---------- *)
