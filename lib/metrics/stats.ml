@@ -38,6 +38,19 @@ let percentile p xs =
     (sorted.(lo) *. (1. -. frac)) +. (sorted.(hi) *. frac)
   end
 
+let interleaved_pairs ~pairs run =
+  let off = Array.make pairs 0. and on = Array.make pairs 0. in
+  for i = 0 to pairs - 1 do
+    let outer = i mod 2 = 1 in
+    let a = run ~on:outer in
+    let b = run ~on:(not outer) in
+    let c = run ~on:(not outer) in
+    let d = run ~on:outer in
+    let o = Float.min a d and m = Float.min b c in
+    if outer then (on.(i) <- o; off.(i) <- m) else (off.(i) <- o; on.(i) <- m)
+  done;
+  (off, on)
+
 let summarize xs =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Stats.summarize: empty sample";

@@ -25,6 +25,15 @@ val percentile : float -> float array -> float
     order statistics. Raises [Invalid_argument] on an empty array or a
     [p] outside the range. *)
 
+val interleaved_pairs :
+  pairs:int -> (on:bool -> float) -> float array * float array
+(** [interleaved_pairs ~pairs run] times an A/B comparison, where
+    [run ~on] performs one run of arm [on] and returns its time. A pair
+    is four runs, off-on-on-off or on-off-off-on in alternate pairs, and
+    each arm's time in a pair is the faster of its two runs: a host-load
+    burst that slows one run is dropped, and the symmetric order cancels
+    drift within the pair. Returns the per-pair times [(off, on)]. *)
+
 val summarize : float array -> summary
 (** Full summary of a non-empty sample. *)
 

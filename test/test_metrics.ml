@@ -30,6 +30,23 @@ let stats_tests =
         Alcotest.(check (float 1e-9))
           "geomean" 4.
           (Metrics.Stats.geomean [| 2.; 8. |]));
+    Alcotest.test_case "interleaved pairs keep each arm's faster run" `Quick
+      (fun () ->
+        (* Run k takes [times.(k)]; the arms alternate ABBA, then BAAB. *)
+        let times = [| 5.; 2.; 3.; 4.; 9.; 1.; 6.; 7. |] in
+        let calls = ref [] in
+        let run ~on =
+          let k = List.length !calls in
+          calls := on :: !calls;
+          times.(k)
+        in
+        let off, on = Metrics.Stats.interleaved_pairs ~pairs:2 run in
+        Alcotest.(check (list bool))
+          "order"
+          [ false; true; true; false; true; false; false; true ]
+          (List.rev !calls);
+        Alcotest.(check (array (float 0.))) "off" [| 4.; 1. |] off;
+        Alcotest.(check (array (float 0.))) "on" [| 2.; 7. |] on);
   ]
 
 let stats_props =
