@@ -894,7 +894,7 @@ let bench_channel () =
         delivered := seq;
         Metrics.Ledger.charge ledger "host_bounce"
           (cost.Riscv.Cost.ring_host_service
-          + Guest.Swiotlb.bounce_copy_cycles cost n
+          + Riscv.Cost.word_copy cost n
           + cost.Riscv.Cost.ring_notify)
       end;
       Metrics.Ledger.charge ledger "host_bounce" cost.Riscv.Cost.ring_host_poll

@@ -109,6 +109,10 @@ let attacks_cmd =
           Hypervisor.Attacks.write_secure_memory machine ~pool_pa:pool );
         ( "DMA into the pool",
           Hypervisor.Attacks.dma_into_pool machine ~pool_pa:pool );
+        ( "blk read into a pool page",
+          Hypervisor.Attacks.blk_read_into_pool tb.Platform.Testbed.kvm );
+        ( "net RX fill into a pool page",
+          Hypervisor.Attacks.net_rx_into_pool tb.Platform.Testbed.kvm );
       ]
   in
   Cmd.v

@@ -80,5 +80,12 @@ let () =
        ~victim_page:pool
        ~gpa:(Guest.Swiotlb.slot_gpa 10));
 
+  print_endline "device DMA through a hostile bounce mapping:";
+  let kvm = tb.Platform.Testbed.kvm in
+  describe "blk read into a pool page"
+    (Hypervisor.Attacks.blk_read_into_pool kvm);
+  describe "net RX fill into a pool page"
+    (Hypervisor.Attacks.net_rx_into_pool kvm);
+
   print_endline "done: every attack must read BLOCKED above.";
   if !leaked then exit 1

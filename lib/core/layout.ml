@@ -17,6 +17,10 @@ let pages_per_block size =
 let virtio_mmio_gpa = 0x1000_1000L
 let virtio_mmio_size = 0x1000L
 
+let in_virtio_window gpa =
+  (not (Riscv.Xword.ult gpa virtio_mmio_gpa))
+  && Riscv.Xword.ult gpa (Int64.add virtio_mmio_gpa virtio_mmio_size)
+
 (* SWIOTLB layout, fixed here (rather than in the guest library) so the
    monitor's audit can reason about the bounce window without a
    dependency inversion; [Guest.Swiotlb] re-exports these. *)

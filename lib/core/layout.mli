@@ -32,6 +32,10 @@ val virtio_mmio_gpa : int64
 
 val virtio_mmio_size : int64
 
+val in_virtio_window : int64 -> bool
+(** A stage-2 fault on a GPA in this window is a device access to
+    emulate, for a CVM and a normal VM alike. *)
+
 (** {2 SWIOTLB window}
 
     Canonical layout of the guest bounce-buffer area inside the shared

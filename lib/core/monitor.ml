@@ -1814,43 +1814,14 @@ let migrate_note_stalls t ~session n =
 
 let gpa_to_pa cvm gpa = Spt.lookup cvm.Cvm.spt ~gpa
 
-(* Write bytes into guest memory through the CVM's own G-stage table,
-   page by page. *)
-let write_guest t cvm ~gpa data =
-  let bus = t.machine.Machine.bus in
-  let len = String.length data in
-  let rec go off =
-    if off >= len then Ok ()
-    else begin
-      let g = Int64.add gpa (Int64.of_int off) in
-      match gpa_to_pa cvm g with
-      | None -> Error "guest buffer not mapped"
-      | Some pa ->
-          let in_page = 4096 - Int64.to_int (Int64.logand g 0xFFFL) in
-          let chunk = min in_page (len - off) in
-          Bus.write_sub bus pa data off chunk;
-          go (off + chunk)
-    end
-  in
-  go 0
-
+(* Guest memory through the CVM's own G-stage table: SM-side CPU
+   accesses, so no IOPMP check. [None]/[false] when a page of the range
+   is not mapped. *)
 let read_guest t cvm ~gpa len =
-  let bus = t.machine.Machine.bus in
-  let buf = Buffer.create len in
-  let rec go off =
-    if off >= len then Ok (Buffer.contents buf)
-    else begin
-      let g = Int64.add gpa (Int64.of_int off) in
-      match gpa_to_pa cvm g with
-      | None -> Error "guest buffer not mapped"
-      | Some pa ->
-          let in_page = 4096 - Int64.to_int (Int64.logand g 0xFFFL) in
-          let chunk = min in_page (len - off) in
-          Buffer.add_string buf (Bus.read_bytes bus pa chunk);
-          go (off + chunk)
-    end
-  in
-  go 0
+  Bus.read_gpa t.machine.Machine.bus ~translate:(gpa_to_pa cvm) gpa len
+
+let write_guest t cvm ~gpa data =
+  Bus.write_gpa t.machine.Machine.bus ~translate:(gpa_to_pa cvm) gpa data
 
 type sbi_outcome = Resume | Stop of exit_reason
 
@@ -1880,8 +1851,8 @@ let handle_guest_ecall t cvm (hart : Hart.t) =
     else if a6 = Ecall.fid_guest_report then begin
       (* a0 = report buffer GPA, a1 = 32-byte nonce GPA *)
       match read_guest t cvm ~gpa:a1 32 with
-      | Error _ -> err Ecall.Invalid_param
-      | Ok nonce -> begin
+      | None -> err Ecall.Invalid_param
+      | Some nonce -> begin
           match cvm.Cvm.measurement with
           | None -> err Ecall.Bad_state
           | Some measurement ->
@@ -1890,9 +1861,9 @@ let handle_guest_ecall t cvm (hart : Hart.t) =
                   ~measurement ~nonce
               in
               let bytes = Attest.report_to_bytes report in
-              (match write_guest t cvm ~gpa:a0 bytes with
-              | Ok () -> ok ~value:(Int64.of_int (String.length bytes)) ()
-              | Error _ -> err Ecall.Invalid_param)
+              if write_guest t cvm ~gpa:a0 bytes then
+                ok ~value:(Int64.of_int (String.length bytes)) ()
+              else err Ecall.Invalid_param
         end
     end
     else if a6 = Ecall.fid_guest_seal then begin
@@ -1903,14 +1874,13 @@ let handle_guest_ecall t cvm (hart : Hart.t) =
       else begin
         match (cvm.Cvm.measurement, read_guest t cvm ~gpa:a0 len) with
         | None, _ -> err Ecall.Bad_state
-        | _, Error _ -> err Ecall.Invalid_param
-        | Some measurement, Ok data -> begin
+        | _, None -> err Ecall.Invalid_param
+        | Some measurement, Some data ->
             let blob = Attest.seal_data ~measurement data in
             charge t "sm_seal" (t.cost.Cost.page_scrub * ((len / 4096) + 1));
-            match write_guest t cvm ~gpa:a2 blob with
-            | Ok () -> ok ~value:(Int64.of_int (String.length blob)) ()
-            | Error _ -> err Ecall.Invalid_param
-          end
+            if write_guest t cvm ~gpa:a2 blob then
+              ok ~value:(Int64.of_int (String.length blob)) ()
+            else err Ecall.Invalid_param
       end
     end
     else if a6 = Ecall.fid_guest_unseal then begin
@@ -1920,16 +1890,15 @@ let handle_guest_ecall t cvm (hart : Hart.t) =
       else begin
         match (cvm.Cvm.measurement, read_guest t cvm ~gpa:a0 len) with
         | None, _ -> err Ecall.Bad_state
-        | _, Error _ -> err Ecall.Invalid_param
-        | Some measurement, Ok blob -> begin
+        | _, None -> err Ecall.Invalid_param
+        | Some measurement, Some blob -> begin
             charge t "sm_seal" (t.cost.Cost.page_scrub * ((len / 4096) + 1));
             match Attest.unseal_data ~measurement blob with
             | Error _ -> err Ecall.Denied
-            | Ok data -> begin
-                match write_guest t cvm ~gpa:a2 data with
-                | Ok () -> ok ~value:(Int64.of_int (String.length data)) ()
-                | Error _ -> err Ecall.Invalid_param
-              end
+            | Ok data ->
+                if write_guest t cvm ~gpa:a2 data then
+                  ok ~value:(Int64.of_int (String.length data)) ()
+                else err Ecall.Invalid_param
           end
       end
     end
@@ -1999,8 +1968,8 @@ let handle_guest_ecall t cvm (hart : Hart.t) =
             else if ch.ch_phase <> Chan_established then err Ecall.Bad_state
             else begin
               match read_guest t cvm ~gpa:a1 len with
-              | Error _ -> err Ecall.Invalid_param
-              | Ok payload ->
+              | None -> err Ecall.Invalid_param
+              | Some payload ->
                   let bus = t.machine.Machine.bus in
                   let base = chan_dir_base ch ~from_a:(ch.ch_a = cvm.Cvm.id) in
                   let seq = Bus.read bus base 8 in
@@ -2013,8 +1982,7 @@ let handle_guest_ecall t cvm (hart : Hart.t) =
                      the per-register validated transfer — only the
                      header goes through Check-after-Load. *)
                   charge t "sm_chan"
-                    (t.cost.Cost.ecall_roundtrip
-                    + ((len + 7) / 8 * (t.cost.Cost.load + t.cost.Cost.store)));
+                    (t.cost.Cost.ecall_roundtrip + Cost.word_copy t.cost len);
                   ok ~value:(Int64.of_int len) ()
             end
       end
@@ -2051,14 +2019,14 @@ let handle_guest_ecall t cvm (hart : Hart.t) =
                       (Int64.add base (Int64.of_int Layout.chan_hdr_size))
                       len
                   in
-                  match write_guest t cvm ~gpa:a1 payload with
-                  | Error _ -> err Ecall.Invalid_param
-                  | Ok () ->
-                      if consumer_is_b then ch.ch_seq_ab <- seq
-                      else ch.ch_seq_ba <- seq;
-                      charge t "sm_chan"
-                        ((len + 7) / 8 * (t.cost.Cost.load + t.cost.Cost.store));
-                      ok ~value:(Int64.of_int len) ()
+                  if not (write_guest t cvm ~gpa:a1 payload) then
+                    err Ecall.Invalid_param
+                  else begin
+                    if consumer_is_b then ch.ch_seq_ab <- seq
+                    else ch.ch_seq_ba <- seq;
+                    charge t "sm_chan" (Cost.word_copy t.cost len);
+                    ok ~value:(Int64.of_int len) ()
+                  end
                 end
           end
     end
@@ -2209,10 +2177,6 @@ let record_fault t cvm stage =
   | Hier_alloc.Stage1 -> s.Hier_alloc.stage1 <- s.Hier_alloc.stage1 + 1
   | Hier_alloc.Stage2 -> s.Hier_alloc.stage2 <- s.Hier_alloc.stage2 + 1
   | Hier_alloc.Stage3_retry -> s.Hier_alloc.stage3 <- s.Hier_alloc.stage3 + 1
-
-let in_virtio_window gpa =
-  (not (Xword.ult gpa Layout.virtio_mmio_gpa))
-  && Xword.ult gpa (Int64.add Layout.virtio_mmio_gpa Layout.virtio_mmio_size)
 
 let run_vcpu t ~hart:hart_id ~cvm:id ~vcpu:vcpu_idx ~max_steps =
   host_call t "run_vcpu" ~cvm:id (fun () ->
@@ -2415,12 +2379,13 @@ let run_vcpu t ~hart:hart_id ~cvm:id ~vcpu:vcpu_idx ~max_steps =
                             (Int64.shift_left csr.Csr.mtval2 2)
                             (Int64.logand csr.Csr.mtval 3L)
                         in
-                        if in_virtio_window gpa then begin
+                        if Layout.in_virtio_window gpa then begin
                           (* MMIO: decode from the recorded instruction,
                              expose via the shared vCPU, exit. *)
                           Vcpu.save_from_hart hart sv;
                           match
-                            Vcpu.decode_mmio sv ~htinst:csr.Csr.htinst ~gpa
+                            Vcpu.decode_mmio sv.Vcpu.regs ~htinst:csr.Csr.htinst
+                              ~gpa
                           with
                           | Error e -> finish ~mmio:No_mmio (Exit_error e)
                           | Ok mmio ->

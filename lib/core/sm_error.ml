@@ -22,19 +22,6 @@ let code = function
   | Quarantined -> -11L
   | Internal _ -> -12L
 
-let of_code = function
-  | -3L -> Some Invalid_param
-  | -4L -> Some Denied
-  | -5L -> Some No_memory
-  | -6L -> Some Not_found
-  | -7L -> Some Bad_state
-  | -8L -> Some Invalid_address
-  | -9L -> Some Already_exists
-  | -10L -> Some No_pending_exit
-  | -11L -> Some Quarantined
-  | -12L -> Some (Internal "")
-  | _ -> None
-
 let to_string = function
   | Invalid_param -> "invalid parameter"
   | Denied -> "access denied"
@@ -48,14 +35,3 @@ let to_string = function
   | Internal msg ->
       if msg = "" then "internal monitor fault"
       else "internal monitor fault: " ^ msg
-
-let all =
-  [
-    Invalid_param; Denied; No_memory; Not_found; Bad_state; Invalid_address;
-    Already_exists; No_pending_exit; Quarantined; Internal "";
-  ]
-
-let guard f =
-  try f () with
-  | Stack_overflow -> Error (Internal "stack overflow")
-  | e -> Error (Internal (Printexc.to_string e))

@@ -5,6 +5,9 @@
     lifecycle order, garbage blobs — may raise through the SM. Instead
     each failure maps to one of the codes below, mirroring the style of
     the SBI specification and the CoVE TSM / Keystone SM error ABIs.
+    Entry points validate their arguments for precise codes; the
+    monitor's [host_call] wrapper is the one backstop that turns an
+    escaped exception into [Internal] (DESIGN.md §8).
 
     Codes [-3 .. -7] predate this module and stay wire-stable; the
     remaining codes extend the ABI for the hostile-host hardening work
@@ -30,17 +33,4 @@ type t =
 val code : t -> int64
 (** Negative SBI-style error code; [Internal] collapses to one code. *)
 
-val of_code : int64 -> t option
-(** Inverse of [code] ([Internal] decodes with an empty message). *)
-
 val to_string : t -> string
-
-val all : t list
-(** One representative of every constructor, for the ABI table in docs
-    and exhaustiveness tests. *)
-
-val guard : (unit -> ('a, t) result) -> ('a, t) result
-(** Run a host-interface body and convert any escaped exception into
-    [Error (Internal _)]. The last line of defence making the ABI total;
-    call sites should still validate inputs so that well-typed failures
-    carry precise codes. *)

@@ -85,20 +85,15 @@ type mmio = {
   mmio_reg : int;
 }
 
-let decode_mmio sv ~htinst ~gpa =
+let decode_mmio regs ~htinst ~gpa =
+  let size = function Decode.B -> 1 | H -> 2 | W -> 4 | D -> 8 in
   match Decode.decode htinst with
   | Decode.Load { rd; width; unsigned; _ } ->
-      let size =
-        match width with Decode.B -> 1 | H -> 2 | W -> 4 | D -> 8
-      in
-      Ok { mmio_write = false; mmio_gpa = gpa; mmio_size = size;
+      Ok { mmio_write = false; mmio_gpa = gpa; mmio_size = size width;
            mmio_unsigned = unsigned; mmio_data = 0L; mmio_reg = rd }
   | Decode.Store { rs2; width; _ } ->
-      let size =
-        match width with Decode.B -> 1 | H -> 2 | W -> 4 | D -> 8
-      in
-      Ok { mmio_write = true; mmio_gpa = gpa; mmio_size = size;
-           mmio_unsigned = false; mmio_data = sv.regs.(rs2); mmio_reg = 0 }
+      Ok { mmio_write = true; mmio_gpa = gpa; mmio_size = size width;
+           mmio_unsigned = false; mmio_data = regs.(rs2); mmio_reg = 0 }
   | _ -> Error "decode_mmio: trapping instruction is not a load or store"
 
 let expose_mmio sh mmio ~htinst =

@@ -57,9 +57,10 @@ type mmio = {
   mmio_reg : int;  (** destination register for reads *)
 }
 
-val decode_mmio : secure -> htinst:int64 -> gpa:int64 -> (mmio, string) result
-(** Parse the trapping load/store from the recorded instruction word and
-    the secure register file. *)
+val decode_mmio :
+  int64 array -> htinst:int64 -> gpa:int64 -> (mmio, string) result
+(** Parse the trapping load/store from the recorded instruction word;
+    a store's data comes from the register file given. *)
 
 val expose_mmio : shared -> mmio -> htinst:int64 -> int
 (** Populate the shared vCPU for an MMIO exit; returns the number of

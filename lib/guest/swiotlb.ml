@@ -5,10 +5,6 @@ let slot_size = Zion.Layout.swiotlb_slot_size
 let slots = Zion.Layout.swiotlb_slots
 let slot_gpa = Zion.Layout.swiotlb_slot_gpa
 
-let bounce_copy_cycles (c : Riscv.Cost.t) n =
-  let words = (n + 7) / 8 in
-  words * (c.Riscv.Cost.load + c.Riscv.Cost.store)
-
 (* Exitless split ring: one 4 KiB page in the shared window, clear of
    the descriptor page and the bounce slots. Byte layout (all fields
    little-endian):

@@ -27,10 +27,6 @@ val slots : int
 val slot_gpa : int -> int64
 (** GPA of bounce slot [i]. Raises [Invalid_argument] out of range. *)
 
-val bounce_copy_cycles : Riscv.Cost.t -> int -> int
-(** Modeled cycles to copy [n] bytes through a bounce buffer (one
-    direction): doubleword loads + stores. *)
-
 (** {2 Exitless split ring}
 
     One 4 KiB page ([Zion.Layout.swiotlb_ring_gpa]) holding a

@@ -64,9 +64,67 @@ let steal_vcpu_state mon ~cvm =
   | Ok v -> Leaked (Printf.sprintf "read a0 = 0x%Lx" v)
   | Error _ -> Blocked "SM-mediated access denied"
 
-(* ---------- hostile-ring attacks (exitless I/O) ---------- *)
-
 module Sw = Guest.Swiotlb
+
+(* ---------- device DMA through a hostile bounce mapping ---------- *)
+
+(* A fresh CVM runs [prog] after the host re-points its bounce slot
+   [slot] at a free pool page (the last page of the first region), so
+   the exitful kick in [prog] aims the device's DMA at secure memory.
+   The IOPMP must deny the DMA and the device must refuse the request:
+   the guest runs on to shutdown, [refused ()] sees the device report
+   the failure, and the pool page keeps its bytes. *)
+let bounce_into_pool kvm ~label ~slot ~prog ~refused =
+  let bus = (Kvm.machine kvm).Machine.bus in
+  match Zion.Secmem.regions (Zion.Monitor.secmem (Kvm.monitor kvm)) with
+  | [] -> Blocked "setup: no pool"
+  | (base, size) :: _ -> (
+      let page = Int64.sub (Int64.add base size) 4096L in
+      let entry = 0x10000L in
+      match
+        Kvm.create_cvm_guest kvm ~entry_pc:entry
+          ~image:[ (entry, Asm.program (prog @ Guest.Gprog.shutdown)) ]
+      with
+      | Error e -> Blocked ("setup: " ^ e)
+      | Ok h -> (
+          Shared_map.map_secure_page_for_attack (Kvm.cvm_shared_map h)
+            ~gpa:(Sw.slot_gpa slot) ~pa:page;
+          let before = Bus.read_bytes bus page 4096 in
+          match
+            Kvm.run_cvm_to_completion kvm h ~hart:0 ~quantum:1_000_000
+              ~max_slices:20
+          with
+          | exception Bus.Fault _ ->
+              Leaked (label ^ ": the denied DMA escaped the run loop")
+          | Kvm.C_shutdown ->
+              if Bus.read_bytes bus page 4096 <> before then
+                Leaked (label ^ ": DMA reached the pool page")
+              else if not (refused ()) then
+                Leaked (label ^ ": the device reported success")
+              else Blocked (label ^ ": IOPMP denied the DMA; request refused")
+          | _ -> Leaked (label ^ ": the guest did not reach shutdown")))
+
+let blk_read_into_pool kvm =
+  let blk = Mmio_emul.blk (Kvm.devices kvm) in
+  (* A disk sector worth stealing, so a DMA that got through would
+     change the pool page. *)
+  Virtio_blk.write_backing blk ~sector:0 (String.make 16 'Z');
+  bounce_into_pool kvm ~label:"blk read" ~slot:1
+    ~prog:(Guest.Gprog.blk_read_first_byte ~sector:0 ~len:16)
+    ~refused:(fun () -> Virtio_blk.mmio_read blk 0x10L 4 = 1L)
+
+let net_rx_into_pool kvm =
+  let net = Mmio_emul.net (Kvm.devices kvm) in
+  Virtio_net.set_peer net (fun _ -> Some "pong");
+  let outcome =
+    bounce_into_pool kvm ~label:"net rx fill" ~slot:3
+      ~prog:(Guest.Gprog.net_send "ping" @ Guest.Gprog.net_recv_putchar)
+      ~refused:(fun () -> Virtio_net.mmio_read net 0x10L 4 = 0L)
+  in
+  Virtio_net.set_peer net (fun _ -> None);
+  outcome
+
+(* ---------- hostile-ring attacks (exitless I/O) ---------- *)
 
 (* The ring poke path is exactly the Byzantine host's power: any byte
    of the ring page, any time, no validation. *)

@@ -34,6 +34,23 @@ val steal_vcpu_state : Zion.Monitor.t -> cvm:int -> outcome
 (** Try to read a guest register through the SM-mediated interface with
     no pending exit. *)
 
+(** {2 Device DMA through a hostile bounce mapping}
+
+    Each vector creates a CVM, points one of its bounce slots at a free
+    pool page, and lets the guest kick a device whose DMA targets that
+    slot over the exitful MMIO path. [Blocked] only when the IOPMP
+    denied the DMA, the device refused the request, the guest still
+    reached shutdown and the pool page is unchanged. *)
+
+val blk_read_into_pool : Kvm.t -> outcome
+(** A virtio-blk read into slot 1 ({!Guest.Gprog.blk_read_first_byte});
+    the status must read 1. Seeds disk sector 0. *)
+
+val net_rx_into_pool : Kvm.t -> outcome
+(** A transmit the peer answers, then an RX fill into slot 3
+    ({!Guest.Gprog.net_recv_putchar}); the fill must report length 0.
+    Leaves the no-op peer installed. *)
+
 (** {2 Hostile-ring attacks}
 
     Ring-poison vectors against the exitless virtio ring: each arms a

@@ -19,7 +19,6 @@ type t = {
   cost : Cost.t;
   mutable io_bindings : (int * io_binding) list;  (* cvm id -> ring *)
   mutable nvm_faults : int list;
-  mutable ticks : int;
   mutable mmio_serviced : int;
   mutable expansions : int;
   mutable expand_stalls : int;
@@ -50,7 +49,6 @@ let create ~machine ~monitor ?(disk_sectors = 262144) () =
     cost = machine.Machine.cost;
     io_bindings = [];
     nvm_faults = [];
-    ticks = 0;
     mmio_serviced = 0;
     expansions = 0;
     expand_stalls = 0;
@@ -202,11 +200,6 @@ let resume_nvm t (hart : Hart.t) ~skip =
   hart.Hart.pc <- (if skip then Int64.add csr.Csr.sepc 4L else csr.Csr.sepc);
   charge t "xret" t.cost.Cost.xret
 
-let in_virtio_window gpa =
-  (not (Xword.ult gpa Zion.Layout.virtio_mmio_gpa))
-  && Xword.ult gpa
-       (Int64.add Zion.Layout.virtio_mmio_gpa Zion.Layout.virtio_mmio_size)
-
 let handle_nvm_sbi t (hart : Hart.t) =
   let a7 = Hart.get_reg hart 17 and a0 = Hart.get_reg hart 10 in
   if a7 = Zion.Ecall.sbi_legacy_putchar then begin
@@ -276,7 +269,6 @@ let run_normal_vm t nvm ~hart:hart_id ~max_steps =
             if Int64.compare cause 0L < 0 then begin
               charge t "hs_timer_tick"
                 (t.cost.Cost.hs_timer_tick - t.cost.Cost.trap_entry);
-              t.ticks <- t.ticks + 1;
               save_back ();
               N_timer
             end
@@ -295,7 +287,6 @@ let run_normal_vm t nvm ~hart:hart_id ~max_steps =
       if is_interrupt then begin
         charge t "hs_timer_tick"
           (t.cost.Cost.hs_timer_tick - t.cost.Cost.trap_entry);
-        t.ticks <- t.ticks + 1;
         save_back ();
         N_timer
       end
@@ -319,15 +310,11 @@ let run_normal_vm t nvm ~hart:hart_id ~max_steps =
                 (Int64.shift_left csr.Csr.htval 2)
                 (Int64.logand csr.Csr.stval 3L)
             in
-            if in_virtio_window gpa then begin
+            if Zion.Layout.in_virtio_window gpa then begin
               (* Direct MMIO emulation in HS: the 5,000-cycle path. *)
               match
-                Zion.Vcpu.decode_mmio
-                  {
-                    (Zion.Vcpu.fresh_secure ~entry_pc:0L) with
-                    Zion.Vcpu.regs = Array.copy hart.Hart.regs;
-                  }
-                  ~htinst:csr.Csr.htinst ~gpa
+                Zion.Vcpu.decode_mmio hart.Hart.regs ~htinst:csr.Csr.htinst
+                  ~gpa
               with
               | Error e ->
                   save_back ();
@@ -363,7 +350,6 @@ let run_normal_vm t nvm ~hart:hart_id ~max_steps =
   end
 
 let nvm_fault_log t = t.nvm_faults
-let nvm_timer_ticks t = t.ticks
 
 (* ---------- confidential VMs ---------- *)
 

@@ -49,8 +49,6 @@ val run_normal_vm :
 val nvm_fault_log : t -> int list
 (** Cycles charged per normal-VM stage-2 fault, most recent first. *)
 
-val nvm_timer_ticks : t -> int
-
 (* {2 Confidential VMs} *)
 
 type cvm_handle

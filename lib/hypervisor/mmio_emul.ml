@@ -25,24 +25,14 @@ let set_trace t tr =
    are shared between the two paths. *)
 let service_ring t host = Virtio_ring.service host ~blk:t.blk ~net:t.net
 
-let handle t (mmio : Zion.Vcpu.mmio) =
-  let off = Int64.sub mmio.Zion.Vcpu.mmio_gpa Zion.Layout.virtio_mmio_gpa in
+let handle t { Zion.Vcpu.mmio_gpa; mmio_write; mmio_size; mmio_data; _ } =
+  let off = Int64.sub mmio_gpa Zion.Layout.virtio_mmio_gpa in
   if off < 0L || off >= 0x1000L then 0L
-  else if Riscv.Xword.ult off net_slot then begin
-    let dev_off = Int64.sub off blk_slot in
-    if mmio.Zion.Vcpu.mmio_write then begin
-      Virtio_blk.mmio_write t.blk dev_off mmio.Zion.Vcpu.mmio_size
-        mmio.Zion.Vcpu.mmio_data;
-      0L
-    end
-    else Virtio_blk.mmio_read t.blk dev_off mmio.Zion.Vcpu.mmio_size
-  end
-  else begin
-    let dev_off = Int64.sub off net_slot in
-    if mmio.Zion.Vcpu.mmio_write then begin
-      Virtio_net.mmio_write t.net dev_off mmio.Zion.Vcpu.mmio_size
-        mmio.Zion.Vcpu.mmio_data;
-      0L
-    end
-    else Virtio_net.mmio_read t.net dev_off mmio.Zion.Vcpu.mmio_size
-  end
+  else if Riscv.Xword.ult off net_slot then
+    let off = Int64.sub off blk_slot in
+    if not mmio_write then Virtio_blk.mmio_read t.blk off mmio_size
+    else (Virtio_blk.mmio_write t.blk off mmio_size mmio_data; 0L)
+  else
+    let off = Int64.sub off net_slot in
+    if not mmio_write then Virtio_net.mmio_read t.net off mmio_size
+    else (Virtio_net.mmio_write t.net off mmio_size mmio_data; 0L)

@@ -42,52 +42,6 @@ let obs t =
   | Some tr when Metrics.Trace.is_enabled tr -> Some tr
   | _ -> None
 
-(* Read [len] bytes of guest memory at a shared GPA, page by page,
-   through DMA (IOPMP-checked). *)
-let dma_read_gpa t gpa len =
-  let buf = Buffer.create len in
-  let rec go off =
-    if off >= len then Some (Buffer.contents buf)
-    else begin
-      let g = Int64.add gpa (Int64.of_int off) in
-      match t.translate g with
-      | None -> None
-      | Some pa ->
-          let in_page = 4096 - Int64.to_int (Int64.logand g 0xFFFL) in
-          let chunk = min in_page (len - off) in
-          Buffer.add_string buf (Bus.dma_read t.bus ~sid pa chunk);
-          go (off + chunk)
-    end
-  in
-  go 0
-
-let dma_write_gpa t gpa data =
-  let len = String.length data in
-  let rec go off =
-    if off >= len then true
-    else begin
-      let g = Int64.add gpa (Int64.of_int off) in
-      match t.translate g with
-      | None -> false
-      | Some pa ->
-          let in_page = 4096 - Int64.to_int (Int64.logand g 0xFFFL) in
-          let chunk = min in_page (len - off) in
-          Bus.dma_write t.bus ~sid pa (String.sub data off chunk);
-          go (off + chunk)
-    end
-  in
-  go 0
-
-let le_u64 s off =
-  let v = ref 0L in
-  for i = 7 downto 0 do
-    v := Int64.logor (Int64.shift_left !v 8)
-           (Int64.of_int (Char.code s.[off + i]))
-  done;
-  !v
-
-let le_u32 s off = Int64.to_int (Int64.logand (le_u64 s off) 0xFFFFFFFFL)
-
 (* Overflow-safe bounds check for a guest-controlled sector/len pair:
    [sector * sector_size + len] is never formed until the quotient test
    proves the product fits inside the disk, so a sector near max_int
@@ -103,46 +57,63 @@ let disk_read t ~sector ~len =
 let disk_write t ~sector data =
   Physmem.write_bytes t.disk (Int64.of_int (sector * sector_size)) data
 
+(* One block request, for an MMIO kick or a ring descriptor alike. A
+   DMA the IOPMP denies, or device arithmetic a hostile descriptor
+   pushed out of range, refuses the request instead of raising out of
+   the hypervisor's run loop. *)
+let request t ~write ~sector ~len ~data_gpa =
+  if not (bounds_ok t ~sector ~len) then Error "blk.bounds"
+  else
+    match
+      if write then
+        match Bus.read_gpa t.bus ~sid ~translate:t.translate data_gpa len with
+        | None -> false
+        | Some data ->
+            disk_write t ~sector data;
+            true
+      else
+        Bus.write_gpa t.bus ~sid ~translate:t.translate data_gpa
+          (disk_read t ~sector ~len)
+    with
+    | false -> Error "blk.dma"
+    | true ->
+        t.requests <- t.requests + 1;
+        if write then t.bytes_w <- t.bytes_w + len
+        else t.bytes_r <- t.bytes_r + len;
+        Ok len
+    | exception (Bus.Fault _ | Invalid_argument _) -> Error "blk.refused"
+
+let u32 s off = Int32.to_int (String.get_int32_le s off) land 0xFFFF_FFFF
+
+(* The kick: decode the descriptor, run the request, latch its status.
+   A descriptor page that does not translate, or that the IOPMP
+   denies, fails the kick like a refused request. *)
 let process t =
   let tr = obs t in
-  (match tr with
-  | Some tr -> Metrics.Trace.span_begin tr "blk.request"
-  | None -> ());
-  t.status <- 1L (* error until proven otherwise *);
+  Option.iter (fun tr -> Metrics.Trace.span_begin tr "blk.request") tr;
   let detail =
-    match dma_read_gpa t t.desc_gpa 24 with
-    | None -> []
+    match Bus.read_gpa t.bus ~sid ~translate:t.translate t.desc_gpa 24 with
+    | None | (exception Bus.Fault _) ->
+        t.status <- 1L;
+        []
     | Some desc ->
-        let sector = Int64.to_int (le_u64 desc 0) in
-        let len = le_u32 desc 8 in
-        let op = le_u32 desc 12 in
-        let data_gpa = le_u64 desc 16 in
-        (if not (bounds_ok t ~sector ~len) then ()
-         else
-           if op = 0 then begin
-             (* device -> guest *)
-             let data = disk_read t ~sector ~len in
-             if dma_write_gpa t data_gpa data then begin
-               t.requests <- t.requests + 1;
-               t.bytes_r <- t.bytes_r + len;
-               t.status <- 0L
-             end
-           end
-           else if op = 1 then begin
-             match dma_read_gpa t data_gpa len with
-             | None -> ()
-             | Some data ->
-                 disk_write t ~sector data;
-                 t.requests <- t.requests + 1;
-                 t.bytes_w <- t.bytes_w + len;
-                 t.status <- 0L
-           end);
-        [
-          ("sector", string_of_int sector);
-          ("len", string_of_int len);
-          ("op", if op = 0 then "read" else if op = 1 then "write"
-                 else string_of_int op);
-        ]
+        let sector = Int64.to_int (String.get_int64_le desc 0) in
+        let len = u32 desc 8 and op = u32 desc 12 in
+        let served =
+          (op = 0 || op = 1)
+          && Result.is_ok
+               (request t ~write:(op = 1) ~sector ~len
+                  ~data_gpa:(String.get_int64_le desc 16))
+        in
+        t.status <- (if served then 0L else 1L);
+        if Option.is_none tr then []
+        else
+          [
+            ("sector", string_of_int sector);
+            ("len", string_of_int len);
+            ("op", if op = 0 then "read" else if op = 1 then "write"
+                   else string_of_int op);
+          ]
   in
   match tr with
   | Some tr ->
@@ -150,32 +121,6 @@ let process t =
         ~args:(detail @ [ ("status", Int64.to_string t.status) ])
         "blk.request"
   | None -> ()
-
-(* Non-MMIO service entry for the exitless ring: same DMA path, bounds
-   checks and counters as [process], but descriptor fields come from a
-   ring descriptor instead of the register file. May raise [Bus.Fault]
-   from the IOPMP-checked DMA (the caller treats that as a reject). *)
-let serve_ring t ~write ~sector ~len ~data_gpa =
-  if not (bounds_ok t ~sector ~len) then Error "blk.bounds"
-  else begin
-    if not write then begin
-      let data = disk_read t ~sector ~len in
-      if dma_write_gpa t data_gpa data then begin
-        t.requests <- t.requests + 1;
-        t.bytes_r <- t.bytes_r + len;
-        Ok len
-      end
-      else Error "blk.dma"
-    end
-    else
-      match dma_read_gpa t data_gpa len with
-      | None -> Error "blk.dma"
-      | Some data ->
-          disk_write t ~sector data;
-          t.requests <- t.requests + 1;
-          t.bytes_w <- t.bytes_w + len;
-          Ok len
-  end
 
 let mmio_read t off _len =
   match Int64.to_int off with 0x10 -> t.status | _ -> 0L

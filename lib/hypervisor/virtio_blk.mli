@@ -5,7 +5,9 @@
     GPA — and kicks the device with an MMIO write. The device translates
     the shared GPAs through the hypervisor's shared-region map and moves
     the data by DMA, which the IOPMP checks: a descriptor that smuggles a
-    secure-pool address faults instead of leaking.
+    secure-pool address is refused with status 1 instead of leaking.
+    The exitless ring ({!Virtio_ring}) carries the same requests without
+    the kick; both paths run {!request}.
 
     Register map (offsets within the device's MMIO slot):
     - [0x00] (write, 8 B): descriptor GPA
@@ -48,17 +50,17 @@ val requests_served : t -> int
 val bytes_read : t -> int
 val bytes_written : t -> int
 
-val serve_ring :
+val request :
   t ->
   write:bool ->
   sector:int ->
   len:int ->
   data_gpa:int64 ->
   (int, string) result
-(** Service one exitless-ring descriptor: same bounds checks, DMA path
-    and counters as an MMIO kick, without the register file. Returns
-    the completed byte count or an error label; may raise
-    [Riscv.Bus.Fault] when the IOPMP rejects the DMA. *)
+(** Serve one block request, for an MMIO kick (status 0 on [Ok], 1 on
+    [Error]) or a ring descriptor: bounds check, DMA, counters. [Ok]
+    bytes moved, or an error label for a range outside the disk, an
+    unmapped page or an IOPMP-denied DMA. Never raises. *)
 
 val read_backing : t -> sector:int -> len:int -> string
 (** Inspect the disk contents (tests). Raises [Invalid_argument] when

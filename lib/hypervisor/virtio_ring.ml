@@ -50,26 +50,23 @@ let inc_by ctx name by =
 (* Raw field access at a byte offset within the ring page. Both views
    go through these; so do the attack vectors (which is the point —
    the host's writes and the guest's loads hit the same bytes). *)
-let peek_at ~bus ~translate ~off ~width =
+let peek ~bus ~translate ~off ~width =
   match translate (Int64.add Sw.ring_gpa (Int64.of_int off)) with
   | None -> None
   | Some pa -> Some (Bus.read bus pa width)
 
-let poke_at ~bus ~translate ~off ~width v =
+let poke ~bus ~translate ~off ~width v =
   match translate (Int64.add Sw.ring_gpa (Int64.of_int off)) with
   | None -> false
   | Some pa ->
       Bus.write bus pa width v;
       true
 
-let peek = peek_at
-let poke = poke_at
-
 let ctx_peek ctx ~off ~width =
-  peek_at ~bus:ctx.bus ~translate:ctx.translate ~off ~width
+  peek ~bus:ctx.bus ~translate:ctx.translate ~off ~width
 
 let ctx_poke ctx ~off ~width v =
-  poke_at ~bus:ctx.bus ~translate:ctx.translate ~off ~width v
+  poke ~bus:ctx.bus ~translate:ctx.translate ~off ~width v
 
 (* One posted descriptor, as the guest remembers it. *)
 type shadow = {
@@ -90,8 +87,6 @@ type guest = {
   mutable empty_polls : int;
   mutable g_mode : mode;
   pool : Sw.pool;
-  mutable g_completed : int;
-  mutable g_last : verdict option;
 }
 
 type host = {
@@ -121,8 +116,6 @@ let create_pair ctx =
       empty_polls = 0;
       g_mode = Exitless;
       pool = Sw.create_pool ();
-      g_completed = 0;
-      g_last = None;
     },
     {
       h = ctx;
@@ -138,9 +131,6 @@ let create_pair ctx =
 
 let guest_mode g = g.g_mode
 let outstanding g = g.g_outstanding
-let strikes g = g.g_strikes
-let completed g = g.g_completed
-let last_verdict g = g.g_last
 let guest_pool g = g.pool
 
 let release_slot g = function
@@ -166,8 +156,7 @@ let force_fallback g =
     scrub g.g
   end
 
-let strike g v =
-  g.g_last <- Some v;
+let strike g =
   g.g_strikes <- g.g_strikes + 1;
   inc g.g "sm.io.cal_rejections";
   if g.g_strikes >= max_strikes then force_fallback g
@@ -221,25 +210,23 @@ let consume g =
     match ctx_peek g.g ~off:Sw.ring_used_idx_off ~width:4 with
     | None ->
         (* The host yanked the ring page itself: treat as a stall. *)
-        g.g_last <- Some V_stall;
         force_fallback g;
         (0, V_stall)
     | Some used_raw ->
         let used = Int64.to_int (Int64.logand used_raw 0xFFFFL) in
         let d = idx_diff used g.used_seen in
         if d < 0 then begin
-          strike g V_used_rewind;
+          strike g;
           (0, V_used_rewind)
         end
         else if d > g.g_outstanding then begin
-          strike g V_used_runaway;
+          strike g;
           (0, V_used_runaway)
         end
         else if d = 0 then begin
           if g.g_outstanding > 0 then begin
             g.empty_polls <- g.empty_polls + 1;
             if g.empty_polls > watchdog_polls then begin
-              g.g_last <- Some V_stall;
               force_fallback g;
               (0, V_stall)
             end
@@ -298,11 +285,7 @@ let consume g =
           done;
           match !bad with
           | Some v ->
-              if v = V_stall then begin
-                g.g_last <- Some V_stall;
-                force_fallback g
-              end
-              else strike g v;
+              if v = V_stall then force_fallback g else strike g;
               (0, v)
           | None ->
               List.iter
@@ -311,7 +294,6 @@ let consume g =
                   g.shadow.(id) <- None)
                 !entries;
               g.g_outstanding <- g.g_outstanding - d;
-              g.g_completed <- g.g_completed + d;
               g.used_seen <- used;
               g.empty_polls <- 0;
               inc_by g.g "sm.io.completions" d;
@@ -382,58 +364,29 @@ let service h ~blk ~net =
                   ctx_peek h.h ~off:(doff + 12) ~width:4,
                   ctx_peek h.h ~off:(doff + 16) ~width:8 )
               with
-              | Some data_gpa, Some len_raw, Some op_raw, Some meta ->
+              | Some data_gpa, Some len_raw, Some op_raw, Some meta -> (
                   let len = Int64.to_int (Int64.logand len_raw 0xFFFFFFFFL) in
                   let op = Int64.to_int (Int64.logand op_raw 0xFFFFFFFFL) in
-                  if not (desc_plausible ~data_gpa ~len) then begin
-                    host_reject h;
-                    Some (id, 0)
-                  end
-                  else begin
-                    let served_len =
-                      try
-                        if op = Sw.op_blk_read || op = Sw.op_blk_write then
-                          match
-                            Virtio_blk.serve_ring blk
-                              ~write:(op = Sw.op_blk_write)
-                              ~sector:(Int64.to_int meta) ~len ~data_gpa
-                          with
-                          | Ok n -> n
-                          | Error _ ->
-                              host_reject h;
-                              0
-                        else if op = Sw.op_net_tx then
-                          match Virtio_net.serve_ring_tx net ~data_gpa ~len with
-                          | Ok n -> n
-                          | Error _ ->
-                              host_reject h;
-                              0
-                        else if op = Sw.op_net_rx then
-                          match Virtio_net.serve_ring_rx net ~data_gpa ~len with
-                          | Ok n -> n
-                          | Error _ ->
-                              host_reject h;
-                              0
-                        else begin
-                          host_reject h;
-                          0
-                        end
-                      with
-                      | Bus.Fault _ ->
-                          (* IOPMP backstop: the descriptor smuggled a
-                             non-shared PA past the plausibility check. *)
-                          host_reject h;
-                          0
-                      | Invalid_argument _ ->
-                          (* Backstop for guest-controlled device math
-                             (e.g. a sector offset the device-side
-                             bounds check mishandled): the polling loop
-                             must reject, never crash out of run_cvm. *)
-                          host_reject h;
-                          0
-                    in
-                    Some (id, served_len)
-                  end
+                  (* The device functions the MMIO kicks call, IOPMP
+                     backstop included: a refused request comes back as
+                     an [Error], never as an exception. *)
+                  match
+                    if not (desc_plausible ~data_gpa ~len) then
+                      Error "ring.desc"
+                    else if op = Sw.op_blk_read || op = Sw.op_blk_write then
+                      Virtio_blk.request blk
+                        ~write:(op = Sw.op_blk_write)
+                        ~sector:(Int64.to_int meta) ~len ~data_gpa
+                    else if op = Sw.op_net_tx then
+                      Virtio_net.transmit net ~data_gpa ~len
+                    else if op = Sw.op_net_rx then
+                      Virtio_net.receive net ~data_gpa ~len
+                    else Error "ring.op"
+                  with
+                  | Ok n -> Some (id, n)
+                  | Error _ ->
+                      host_reject h;
+                      Some (id, 0))
               | _ -> None
             end
           in

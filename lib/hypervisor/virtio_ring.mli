@@ -91,9 +91,6 @@ val consume : guest -> int * verdict
 
 val guest_mode : guest -> mode
 val outstanding : guest -> int
-val strikes : guest -> int
-val completed : guest -> int
-val last_verdict : guest -> verdict option
 val guest_pool : guest -> Guest.Swiotlb.pool
 
 val force_fallback : guest -> unit

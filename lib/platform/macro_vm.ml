@@ -64,8 +64,6 @@ let mmio_round_trip t =
       + Zion.Monitor.path_cost t.monitor Zion.Monitor.Entry_with_mmio
       + r
 
-let bounce_word_cycles = 3
-
 let blk_service_cycles ~bytes = 20_000 + (2 * bytes)
 
 (* Exitless ring accounting for one device access: the guest publishes
@@ -83,7 +81,7 @@ let add_blk_request t ~bytes =
   let copy =
     match t.kind with
     | Normal -> 0
-    | Confidential _ -> (bytes + 7) / 8 * bounce_word_cycles
+    | Confidential _ -> Riscv.Cost.word_copy t.cost bytes
   in
   let io_path =
     match t.kind with
@@ -98,7 +96,7 @@ let add_net_access t ~copied_bytes =
   let copy =
     match t.kind with
     | Normal -> 0
-    | Confidential _ -> (copied_bytes + 7) / 8 * bounce_word_cycles
+    | Confidential _ -> Riscv.Cost.word_copy t.cost copied_bytes
   in
   let io_path =
     match t.kind with

@@ -73,9 +73,6 @@ val blk_service_cycles : bytes:int -> int
 (** Device-side service time for one block request (shared by every
     arm): fixed command overhead plus streaming transfer. *)
 
-val bounce_word_cycles : int
-(** Effective cycles per 8-byte word of SWIOTLB copy. *)
-
 val exitless_batch : int
 (** Requests amortizing one host polling beat + used-index publish in
     the exitless model. *)

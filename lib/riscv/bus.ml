@@ -130,12 +130,57 @@ let zero_range t addr len =
   require_dram t addr len;
   Physmem.zero_range t.dram (Int64.sub addr dram_base) (Int64.of_int len)
 
+let dma_check t ~sid access addr len =
+  if not (Iopmp.check t.iopmp ~sid access addr len) then raise (Fault addr)
+
 let dma_read t ~sid addr len =
-  if not (Iopmp.check t.iopmp ~sid Iopmp.Read addr len) then
-    raise (Fault addr);
+  dma_check t ~sid Iopmp.Read addr len;
   read_bytes t addr len
 
 let dma_write t ~sid addr s =
-  if not (Iopmp.check t.iopmp ~sid Iopmp.Write addr (String.length s)) then
-    raise (Fault addr);
+  dma_check t ~sid Iopmp.Write addr (String.length s);
   write_bytes t addr s
+
+(* Guest-physical ranges: [f pa off n] on each page-sized piece
+   [off, off + n) of the range, in order; false as soon as a page does
+   not translate. *)
+let iter_pages ~translate gpa len f =
+  let rec go off =
+    off >= len
+    ||
+    let g = Int64.add gpa (Int64.of_int off) in
+    match translate g with
+    | None -> false
+    | Some pa ->
+        let n = min (len - off) (4096 - Int64.to_int (Int64.logand g 0xFFFL)) in
+        f pa off n;
+        go (off + n)
+  in
+  go 0
+
+let read_page t sid pa n =
+  match sid with
+  | Some sid -> dma_read t ~sid pa n
+  | None -> read_bytes t pa n
+
+let read_gpa t ?sid ~translate gpa len =
+  if len <= 0 then Some ""
+  else if Int64.to_int (Int64.logand gpa 0xFFFL) + len <= 4096 then
+    match translate gpa with
+    | None -> None
+    | Some pa -> Some (read_page t sid pa len)
+  else begin
+    let buf = Bytes.create len in
+    if
+      iter_pages ~translate gpa len (fun pa off n ->
+          Bytes.blit_string (read_page t sid pa n) 0 buf off n)
+    then Some (Bytes.unsafe_to_string buf)
+    else None
+  end
+
+let write_gpa t ?sid ~translate gpa data =
+  iter_pages ~translate gpa (String.length data) (fun pa off n ->
+      (match sid with
+      | Some sid -> dma_check t ~sid Iopmp.Write pa n
+      | None -> ());
+      write_sub t pa data off n)

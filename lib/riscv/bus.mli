@@ -77,3 +77,25 @@ val dma_read : t -> sid:int -> int64 -> int -> string
 
 val dma_write : t -> sid:int -> int64 -> string -> unit
 (** Device-initiated write, checked against the IOPMP. Raises [Fault]. *)
+
+(** {2 Guest-physical ranges}
+
+    The one copy between guest memory and the host, resolved page by
+    page through [translate] (a stage-2 table or the hypervisor's shared
+    map). With a device [sid] every page is an IOPMP-checked DMA access;
+    without one it is a CPU access. Both raise [Fault] when the IOPMP
+    denies a page or a page leaves DRAM. *)
+
+val read_gpa :
+  t -> ?sid:int -> translate:(int64 -> int64 option) -> int64 -> int ->
+  string option
+(** [read_gpa t ?sid ~translate gpa len]: [None] when a page of the
+    range does not translate. A range inside one page is returned as
+    read, with no intermediate buffer. *)
+
+val write_gpa :
+  t -> ?sid:int -> translate:(int64 -> int64 option) -> int64 -> string ->
+  bool
+(** [write_gpa t ?sid ~translate gpa data] writes each page as a slice
+    of [data]. [false] when a page does not translate; the pages before
+    it were written. *)

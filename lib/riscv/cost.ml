@@ -133,6 +133,8 @@ let default =
     hs_mmio_exit = 5000;
   }
 
+let word_copy c bytes = (bytes + 7) / 8 * (c.load + c.store)
+
 let sm_fault_base c =
   c.trap_entry + c.sm_fault_decode + c.sm_fault_validate + c.page_cache_alloc
   + c.page_scrub + (3 * c.page_walk_step) + c.gstage_map

@@ -97,6 +97,11 @@ val default : t
 val scaled : float -> t
 (** [scaled f] multiplies every constant by [f] (sensitivity studies). *)
 
+val word_copy : t -> int -> int
+(** [word_copy c bytes]: cycles to copy [bytes] as doubleword loads and
+    stores, a partial last word counted whole. The one price of every
+    bulk copy the model charges: SWIOTLB bounces and channel payloads. *)
+
 val sm_fault_base : t -> int
 (** The SM's stage-1 stage-2-fault path (§V.C): trap, decode, validate,
     pop a page from the vCPU cache, scrub it, walk, map, return. A

@@ -261,7 +261,7 @@ let blk_tests =
           (Virtio_blk.read_backing blk ~sector:1000 ~len:1024);
         Bus.write_bytes bus (Int64.add Bus.dram_base 0x4000L) (pattern 512);
         (match
-           Virtio_blk.serve_ring blk ~write:false ~sector:(capacity / 2)
+           Virtio_blk.request blk ~write:false ~sector:(capacity / 2)
              ~len:512 ~data_gpa:0x4000L
          with
         | Ok n -> Alcotest.(check int) "read len" 512 n
@@ -276,7 +276,7 @@ let blk_tests =
         Bus.write_bytes bus (Int64.add Bus.dram_base 0x2000L) data;
         (* sectors 7..10 cover bytes 3584..5631: chunks 0 and 1 *)
         (match
-           Virtio_blk.serve_ring blk ~write:true ~sector:7 ~len:2048
+           Virtio_blk.request blk ~write:true ~sector:7 ~len:2048
              ~data_gpa:0x2000L
          with
         | Ok n -> Alcotest.(check int) "write len" 2048 n
@@ -285,7 +285,7 @@ let blk_tests =
           "backing" data
           (Virtio_blk.read_backing blk ~sector:7 ~len:2048);
         (match
-           Virtio_blk.serve_ring blk ~write:false ~sector:7 ~len:2048
+           Virtio_blk.request blk ~write:false ~sector:7 ~len:2048
              ~data_gpa:0x8000L
          with
         | Ok _ -> ()
@@ -306,7 +306,7 @@ let blk_tests =
         let last = capacity - 1 in
         Bus.write_bytes bus (Int64.add Bus.dram_base 0x1000L) (pattern 512);
         (match
-           Virtio_blk.serve_ring blk ~write:true ~sector:last ~len:512
+           Virtio_blk.request blk ~write:true ~sector:last ~len:512
              ~data_gpa:0x1000L
          with
         | Ok n -> Alcotest.(check int) "last sector" 512 n
@@ -315,7 +315,7 @@ let blk_tests =
           "last sector reads back" (pattern 512)
           (Virtio_blk.read_backing blk ~sector:last ~len:512);
         let rejected ~sector ~len =
-          Virtio_blk.serve_ring blk ~write:true ~sector ~len ~data_gpa:0x1000L
+          Virtio_blk.request blk ~write:true ~sector ~len ~data_gpa:0x1000L
         in
         Alcotest.(check (result int string))
           "one past the end" (Error "blk.bounds")

@@ -123,7 +123,7 @@ let macro_tests =
         Alcotest.(check bool)
           "cvm adds bounce + switches" true
           (tc -. tn
-          > float_of_int (4096 / 8 * Platform.Macro_vm.bounce_word_cycles)));
+          > float_of_int (Riscv.Cost.word_copy Riscv.Cost.default 4096)));
     Alcotest.test_case "breakdown sums near the total" `Quick (fun () ->
         let tb = Platform.Testbed.create () in
         let locality =

@@ -355,6 +355,26 @@ let attack_tests =
           (Hypervisor.Attacks.steal_vcpu_state monitor
              ~cvm:(Hypervisor.Kvm.cvm_id h)));
     Alcotest.test_case
+      "attack suite: exitful blk read into a pool page is refused" `Quick
+      (fun () ->
+        let machine, _, kvm = make_stack () in
+        expect_blocked "blk read into the pool"
+          (Hypervisor.Attacks.blk_read_into_pool kvm);
+        (* The guest printed the slot's first byte after the refused
+           read: it ran on past the kick to its shutdown. *)
+        Alcotest.(check int)
+          "guest printed" 1
+          (String.length (Machine.console_output machine)));
+    Alcotest.test_case
+      "attack suite: exitful net RX fill into a pool page is refused" `Quick
+      (fun () ->
+        let machine, _, kvm = make_stack () in
+        expect_blocked "net RX fill into the pool"
+          (Hypervisor.Attacks.net_rx_into_pool kvm);
+        Alcotest.(check string)
+          "guest saw no packet" "!"
+          (Machine.console_output machine));
+    Alcotest.test_case
       "attack suite: DMA via hostile shared mapping dies on IOPMP" `Quick
       (fun () ->
         let machine, _, kvm = make_stack () in
