@@ -1108,10 +1108,16 @@ let bench_bechamel () =
       | Some [ est ] -> rows := (name, est) :: !rows
       | _ -> ())
     results;
+  (* Which SHA-256 kernel CPUID picked, beside the row it sets. *)
+  let note n =
+    if n = "zion/sha256-4KiB" then
+      "kernel: " ^ Crypto.Sha256.Kernel.(name active)
+    else ""
+  in
   Metrics.Table.print
-    ~header:[ "operation"; "ns/op (host)" ]
+    ~header:[ "operation"; "ns/op (host)"; "note" ]
     (List.map
-       (fun (n, v) -> [ n; fixed 1 v ])
+       (fun (n, v) -> [ n; fixed 1 v; note n ])
        (List.sort compare !rows))
 
 (* ---------- post-run security audit ---------- *)

@@ -113,6 +113,8 @@ let attacks_cmd =
           Hypervisor.Attacks.blk_read_into_pool tb.Platform.Testbed.kvm );
         ( "net RX fill into a pool page",
           Hypervisor.Attacks.net_rx_into_pool tb.Platform.Testbed.kvm );
+        ( "exitless ring over another CVM's page",
+          Hypervisor.Attacks.ring_alias_private_page tb.Platform.Testbed.kvm );
       ]
   in
   Cmd.v

@@ -80,12 +80,14 @@ let () =
        ~victim_page:pool
        ~gpa:(Guest.Swiotlb.slot_gpa 10));
 
-  print_endline "device DMA through a hostile bounce mapping:";
+  print_endline "device DMA through a hostile shared mapping:";
   let kvm = tb.Platform.Testbed.kvm in
   describe "blk read into a pool page"
     (Hypervisor.Attacks.blk_read_into_pool kvm);
   describe "net RX fill into a pool page"
     (Hypervisor.Attacks.net_rx_into_pool kvm);
+  describe "exitless ring over another CVM's page"
+    (Hypervisor.Attacks.ring_alias_private_page kvm);
 
   print_endline "done: every attack must read BLOCKED above.";
   if !leaked then exit 1

@@ -1,11 +1,13 @@
-(* SHA-256 (FIPS 180-4), a word at a time.
+(* SHA-256 (FIPS 180-4). Blocks go to one of two kernels: the x86-64
+   SHA extensions through a C stub (sha256_stubs.c), or the OCaml
+   compression function below, a word at a time.
 
-   Only the low 32 bits of a sum are significant, and those never
-   depend on bits above them, so a value is masked to 32 bits only where
-   it is next shifted right and junk above bit 31 would leak down: the
-   two words a round produces and each expanded schedule word. Sigma
-   terms, [ch], [maj] and partial sums may carry junk that the next mask
-   drops. *)
+   In the OCaml kernel, only the low 32 bits of a sum are significant,
+   and those never depend on bits above them, so a value is masked to
+   32 bits only where it is next shifted right and junk above bit 31
+   would leak down: the two words a round produces and each expanded
+   schedule word. Sigma terms, [ch], [maj] and partial sums may carry
+   junk that the next mask drops. *)
 
 let mask = 0xFFFFFFFF
 
@@ -24,7 +26,26 @@ let k =
     0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2;
   |]
 
+module Kernel = struct
+  type t = Ocaml | Sha_ni
+
+  external sha_ni_available : unit -> bool = "zion_sha256_sha_ni_available"
+  [@@noalloc]
+
+  let active = if sha_ni_available () then Sha_ni else Ocaml
+  let name = function Ocaml -> "ocaml" | Sha_ni -> "sha-ni"
+  let available = function Ocaml -> true | Sha_ni -> active = Sha_ni
+end
+
+(* [n] blocks of [s] from [off] into the state words [h]. The caller
+   has checked that they lie inside [s]. *)
+external sha_ni_blocks :
+  int array -> string -> (int[@untagged]) -> (int[@untagged]) -> unit
+  = "zion_sha256_blocks_byte" "zion_sha256_blocks"
+[@@noalloc]
+
 type ctx = {
+  kernel : Kernel.t;
   h : int array; (* 8 state words *)
   w : int array; (* message schedule scratch *)
   buf : Bytes.t; (* a partial block carried between updates *)
@@ -32,8 +53,11 @@ type ctx = {
   mutable total : int; (* total message bytes *)
 }
 
-let init () =
+let init_on kernel =
+  if not (Kernel.available kernel) then
+    invalid_arg ("Sha256.init_on: no " ^ Kernel.name kernel ^ " on this host");
   {
+    kernel;
     h =
       [|
         0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f;
@@ -44,6 +68,8 @@ let init () =
     buf_len = 0;
     total = 0;
   }
+
+let init () = init_on Kernel.active
 
 (* Word arithmetic. Inside [W.( )] the usual operators act on [int64].
    Local [int64] values that never leave [compress] compile to plain
@@ -154,9 +180,18 @@ let compress ctx s off =
   h.(6) <- (h.(6) + Int64.to_int !g) land mask;
   h.(7) <- (h.(7) + Int64.to_int !hh) land mask
 
+(* [n] whole blocks of [s] from [off], on the context's kernel. *)
+let blocks ctx s off n =
+  match ctx.kernel with
+  | Kernel.Sha_ni -> sha_ni_blocks ctx.h s off n
+  | Kernel.Ocaml ->
+      for i = 0 to n - 1 do
+        compress ctx s (off + (64 * i))
+      done
+
 (* [ctx.buf] is only read as a string for the length of one
-   [compress] call, and not written during it. *)
-let compress_buf ctx = compress ctx (Bytes.unsafe_to_string ctx.buf) 0
+   [blocks] call, and not written during it. *)
+let compress_buf ctx = blocks ctx (Bytes.unsafe_to_string ctx.buf) 0 1
 
 let update_sub ctx s off len =
   if off < 0 || len < 0 || off > String.length s - len then
@@ -175,11 +210,10 @@ let update_sub ctx s off len =
       ctx.buf_len <- 0
     end
   end;
-  (* Whole blocks are read in place. *)
-  while stop - !pos >= 64 do
-    compress ctx s !pos;
-    pos := !pos + 64
-  done;
+  (* Whole blocks are read in place, all in one call. *)
+  let n = (stop - !pos) / 64 in
+  blocks ctx s !pos n;
+  pos := !pos + (64 * n);
   let rem = stop - !pos in
   if rem > 0 then begin
     Bytes.blit_string s !pos ctx.buf 0 rem;

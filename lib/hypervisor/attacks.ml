@@ -124,6 +124,51 @@ let net_rx_into_pool kvm =
   Virtio_net.set_peer net (fun _ -> None);
   outcome
 
+(* A page of a fresh CVM A that starts with a marker, then the host
+   points CVM B's ring GPA at it and enables exitless I/O on B, which
+   zeroes the ring page. That zeroing is the host's DMA, so the IOPMP
+   must refuse it: A's page keeps its bytes, and the enable fails or
+   the ring counts a host reject. *)
+let ring_alias_private_page kvm =
+  let bus = (Kvm.machine kvm).Machine.bus in
+  let entry = 0x10000L and marker = "VICTIM!!" in
+  let cvm image =
+    match Kvm.create_cvm_guest kvm ~entry_pc:entry ~image with
+    | Ok h -> h
+    | Error e -> invalid_arg ("ring alias setup: " ^ e)
+  in
+  let shutdown = (entry, Asm.program Guest.Gprog.shutdown) in
+  ignore (cvm [ shutdown; (0x20000L, marker) ] : Kvm.cvm_handle);
+  let victim =
+    List.find_map
+      (fun (base, size) ->
+        List.find_opt
+          (fun pa -> Bus.read_bytes bus pa 8 = marker)
+          (List.init (Int64.to_int size / 4096) (fun i ->
+               Int64.add base (Int64.of_int (i * 4096)))))
+      (Zion.Secmem.regions (Zion.Monitor.secmem (Kvm.monitor kvm)))
+  in
+  match victim with
+  | None -> invalid_arg "ring alias setup: the victim page is not in the pool"
+  | Some page -> (
+      let h = cvm [ shutdown ] in
+      Shared_map.map_secure_page_for_attack (Kvm.cvm_shared_map h)
+        ~gpa:Sw.ring_gpa ~pa:page;
+      let before = Bus.read_bytes bus page 4096 in
+      let enabled = Kvm.enable_exitless_io kvm h in
+      let rejects =
+        Option.fold ~none:0 ~some:Virtio_ring.host_rejects
+          (Kvm.exitless_host kvm h)
+      in
+      if Bus.read_bytes bus page 4096 <> before then
+        Leaked "ring alias: the host's DMA changed another CVM's page"
+      else
+        match enabled with
+        | Error _ -> Blocked "ring alias: IOPMP denied the DMA; enable refused"
+        | Ok _ when rejects > 0 ->
+            Blocked "ring alias: IOPMP denied the DMA; host reject counted"
+        | Ok _ -> Leaked "ring alias: exitless I/O enabled over a CVM's page")
+
 (* ---------- hostile-ring attacks (exitless I/O) ---------- *)
 
 (* The ring poke path is exactly the Byzantine host's power: any byte

@@ -51,6 +51,14 @@ val net_rx_into_pool : Kvm.t -> outcome
     ({!Guest.Gprog.net_recv_putchar}); the fill must report length 0.
     Leaves the no-op peer installed. *)
 
+val ring_alias_private_page : Kvm.t -> outcome
+(** Point a fresh CVM's exitless ring GPA at a page of another CVM,
+    then enable exitless I/O, whose first act is the host's DMA zeroing
+    the ring page. [Blocked] only when that page keeps its bytes and
+    the enable fails or the ring counts a host reject. Raises
+    [Invalid_argument] when its two CVMs cannot be set up. Not one of
+    {!ring_vectors}: it needs no live ring. *)
+
 (** {2 Hostile-ring attacks}
 
     Ring-poison vectors against the exitless virtio ring: each arms a

@@ -546,9 +546,11 @@ let enable_exitless_io t h =
             ~cvm:h.cid ~cost:t.cost
             ~charge:(fun cat cycles -> charge t cat cycles)
         in
-        let io_guest, io_host = Virtio_ring.create_pair ctx in
-        t.io_bindings <- (h.cid, { io_guest; io_host }) :: t.io_bindings;
-        Ok io_guest
+        Result.map
+          (fun (io_guest, io_host) ->
+            t.io_bindings <- (h.cid, { io_guest; io_host }) :: t.io_bindings;
+            io_guest)
+          (Virtio_ring.create_pair ctx)
   end
 
 (* Tear the device association down — not the CVM. The host side stops

@@ -119,7 +119,9 @@ val enable_exitless_io :
   t -> cvm_handle -> (Virtio_ring.guest, string) result
 (** Map the ring page into the CVM's shared subtree (reusing an
     existing mapping if the guest already faulted it in) and start
-    host-side polling. Returns the trusted guest view. *)
+    host-side polling. Returns the trusted guest view. [Error], with no
+    ring bound, when the IOPMP denies the host's DMA to the page the
+    ring GPA maps (a host that aliased it to secure memory). *)
 
 val disable_exitless_io : t -> cvm_handle -> unit
 (** Tear the device association down: retire the host poller, force

@@ -47,26 +47,41 @@ let inc_by ctx name by =
     ~scope:(Metrics.Registry.Cvm ctx.cvm)
     ~by name
 
-(* Raw field access at a byte offset within the ring page. Both views
-   go through these; so do the attack vectors (which is the point —
-   the host's writes and the guest's loads hit the same bytes). *)
-let peek ~bus ~translate ~off ~width =
-  match translate (Int64.add Sw.ring_gpa (Int64.of_int off)) with
-  | None -> None
-  | Some pa -> Some (Bus.read bus pa width)
+(* Raw field access at a byte offset within the ring page. The guest's
+   driver makes CPU loads and stores. The host's polling device, and so
+   every attack vector that plays the host, makes DMA from [sid]: a ring
+   GPA that the host pointed into the secure pool is refused by the
+   IOPMP, never read or written. *)
+let sid = 5
 
-let poke ~bus ~translate ~off ~width v =
-  match translate (Int64.add Sw.ring_gpa (Int64.of_int off)) with
-  | None -> false
+let ring_pa ~translate ~off =
+  translate (Int64.add Sw.ring_gpa (Int64.of_int off))
+
+(* [None] when the page does not translate or the IOPMP refuses. *)
+let dma_pa ~bus ~translate access ~off ~width =
+  match ring_pa ~translate ~off with
+  | Some pa when Iopmp.check (Bus.iopmp bus) ~sid access pa width -> Some pa
+  | _ -> None
+
+let read_at bus width = Option.map (fun pa -> Bus.read bus pa width)
+
+let write_at bus width v = function
   | Some pa ->
       Bus.write bus pa width v;
       true
+  | None -> false
 
-let ctx_peek ctx ~off ~width =
-  peek ~bus:ctx.bus ~translate:ctx.translate ~off ~width
+let peek ~bus ~translate ~off ~width =
+  read_at bus width (dma_pa ~bus ~translate Iopmp.Read ~off ~width)
 
-let ctx_poke ctx ~off ~width v =
-  poke ~bus:ctx.bus ~translate:ctx.translate ~off ~width v
+let poke ~bus ~translate ~off ~width v =
+  write_at bus width v (dma_pa ~bus ~translate Iopmp.Write ~off ~width)
+
+let cpu_peek ctx ~off ~width =
+  read_at ctx.bus width (ring_pa ~translate:ctx.translate ~off)
+
+let cpu_poke ctx ~off ~width v =
+  write_at ctx.bus width v (ring_pa ~translate:ctx.translate ~off)
 
 (* One posted descriptor, as the guest remembers it. *)
 type shadow = {
@@ -99,33 +114,43 @@ type host = {
   mutable h_active : bool;
 }
 
-let scrub ctx =
-  match ctx.translate Sw.ring_gpa with
+(* The guest's driver clears the page it is giving up. *)
+let cpu_scrub ctx =
+  match ring_pa ~translate:ctx.translate ~off:0 with
   | None -> ()
   | Some pa -> Bus.zero_range ctx.bus pa 4096
 
 let create_pair ctx =
-  scrub ctx;
-  ( {
-      g = ctx;
-      shadow = Array.make qsize None;
-      avail_idx = 0;
-      used_seen = 0;
-      g_outstanding = 0;
-      g_strikes = 0;
-      empty_polls = 0;
-      g_mode = Exitless;
-      pool = Sw.create_pool ();
-    },
-    {
-      h = ctx;
-      avail_seen = 0;
-      used_next = 0;
-      h_served = 0;
-      h_notifications = 0;
-      h_rejects = 0;
-      h_active = true;
-    } )
+  (* The host hands the guest a zeroed page, by DMA like every other
+     host access. *)
+  match
+    dma_pa ~bus:ctx.bus ~translate:ctx.translate Iopmp.Write ~off:0
+      ~width:4096
+  with
+  | None -> Error "the host's DMA cannot reach the ring page"
+  | Some pa ->
+      Bus.zero_range ctx.bus pa 4096;
+      Ok
+        ( {
+            g = ctx;
+            shadow = Array.make qsize None;
+            avail_idx = 0;
+            used_seen = 0;
+            g_outstanding = 0;
+            g_strikes = 0;
+            empty_polls = 0;
+            g_mode = Exitless;
+            pool = Sw.create_pool ();
+          },
+          {
+            h = ctx;
+            avail_seen = 0;
+            used_next = 0;
+            h_served = 0;
+            h_notifications = 0;
+            h_rejects = 0;
+            h_active = true;
+          } )
 
 (* {2 Guest view} *)
 
@@ -153,7 +178,7 @@ let force_fallback g =
             g.shadow.(i) <- None)
       g.shadow;
     g.g_outstanding <- 0;
-    scrub g.g
+    cpu_scrub g.g
   end
 
 let strike g =
@@ -178,11 +203,11 @@ let submit g ~op ~len ~data_gpa ~meta ?slot () =
     | Some id ->
         let d = Sw.ring_desc_off id in
         let ok =
-          ctx_poke g.g ~off:d ~width:8 data_gpa
-          && ctx_poke g.g ~off:(d + 8) ~width:4 (Int64.of_int len)
-          && ctx_poke g.g ~off:(d + 12) ~width:4 (Int64.of_int op)
-          && ctx_poke g.g ~off:(d + 16) ~width:8 meta
-          && ctx_poke g.g
+          cpu_poke g.g ~off:d ~width:8 data_gpa
+          && cpu_poke g.g ~off:(d + 8) ~width:4 (Int64.of_int len)
+          && cpu_poke g.g ~off:(d + 12) ~width:4 (Int64.of_int op)
+          && cpu_poke g.g ~off:(d + 16) ~width:8 meta
+          && cpu_poke g.g
                ~off:(Sw.ring_avail_entry_off (g.avail_idx mod qsize))
                ~width:4 (Int64.of_int id)
         in
@@ -193,7 +218,7 @@ let submit g ~op ~len ~data_gpa ~meta ?slot () =
                    s_slot = slot };
           g.avail_idx <- (g.avail_idx + 1) land 0xFFFF;
           ignore
-            (ctx_poke g.g ~off:Sw.ring_avail_idx_off ~width:4
+            (cpu_poke g.g ~off:Sw.ring_avail_idx_off ~width:4
                (Int64.of_int g.avail_idx));
           g.g_outstanding <- g.g_outstanding + 1;
           g.g.charge "ring_submit" g.g.cost.Cost.ring_submit;
@@ -207,7 +232,7 @@ let consume g =
   if g.g_mode = Fallen_back then (0, V_ok)
   else begin
     g.g.charge "ring_consume" g.g.cost.Cost.shared_item_load;
-    match ctx_peek g.g ~off:Sw.ring_used_idx_off ~width:4 with
+    match cpu_peek g.g ~off:Sw.ring_used_idx_off ~width:4 with
     | None ->
         (* The host yanked the ring page itself: treat as a stall. *)
         force_fallback g;
@@ -248,7 +273,7 @@ let consume g =
             let pos = (g.used_seen + !k) mod qsize in
             let u = Sw.ring_used_entry_off pos in
             (match
-               (ctx_peek g.g ~off:u ~width:4, ctx_peek g.g ~off:(u + 4) ~width:4)
+               (cpu_peek g.g ~off:u ~width:4, cpu_peek g.g ~off:(u + 4) ~width:4)
              with
             | Some id_raw, Some len_raw -> begin
                 let id = Int64.to_int (Int64.logand id_raw 0xFFFFFFFFL) in
@@ -265,12 +290,12 @@ let consume g =
                       else begin
                         let doff = Sw.ring_desc_off id in
                         let same =
-                          ctx_peek g.g ~off:doff ~width:8 = Some sh.s_gpa
-                          && ctx_peek g.g ~off:(doff + 8) ~width:4
+                          cpu_peek g.g ~off:doff ~width:8 = Some sh.s_gpa
+                          && cpu_peek g.g ~off:(doff + 8) ~width:4
                              = Some (Int64.of_int sh.s_len)
-                          && ctx_peek g.g ~off:(doff + 12) ~width:4
+                          && cpu_peek g.g ~off:(doff + 12) ~width:4
                              = Some (Int64.of_int sh.s_op)
-                          && ctx_peek g.g ~off:(doff + 16) ~width:8
+                          && cpu_peek g.g ~off:(doff + 16) ~width:8
                              = Some sh.s_meta
                         in
                         if not same then bad := Some V_desc_mutated
@@ -314,6 +339,19 @@ let host_reject h =
   h.h_rejects <- h.h_rejects + 1;
   inc h.h "sm.io.host_rejects"
 
+(* A host access that cannot reach the ring page, because the IOPMP
+   refused it or the page does not translate, is a host reject. *)
+let host_pa h access ~off ~width =
+  let pa = dma_pa ~bus:h.h.bus ~translate:h.h.translate access ~off ~width in
+  if Option.is_none pa then host_reject h;
+  pa
+
+let host_peek h ~off ~width =
+  read_at h.h.bus width (host_pa h Iopmp.Read ~off ~width)
+
+let host_poke h ~off ~width v =
+  write_at h.h.bus width v (host_pa h Iopmp.Write ~off ~width)
+
 (* Validate a descriptor the way a non-malicious host must before
    touching it: the data buffer stays inside the shared window and the
    length is bounded by one bounce slot. The IOPMP is the backstop if
@@ -328,7 +366,7 @@ let service h ~blk ~net =
   if not h.h_active then 0
   else begin
     h.h.charge "ring_host_poll" h.h.cost.Cost.ring_host_poll;
-    match ctx_peek h.h ~off:Sw.ring_avail_idx_off ~width:4 with
+    match host_peek h ~off:Sw.ring_avail_idx_off ~width:4 with
     | None -> 0
     | Some avail_raw ->
         let avail = Int64.to_int (Int64.logand avail_raw 0xFFFFL) in
@@ -347,7 +385,7 @@ let service h ~blk ~net =
         for k = 0 to d - 1 do
           let pos = (h.avail_seen + k) mod qsize in
           let id =
-            match ctx_peek h.h ~off:(Sw.ring_avail_entry_off pos) ~width:4 with
+            match host_peek h ~off:(Sw.ring_avail_entry_off pos) ~width:4 with
             | None -> -1
             | Some v -> Int64.to_int (Int64.logand v 0xFFFFFFFFL)
           in
@@ -359,10 +397,10 @@ let service h ~blk ~net =
             else begin
               let doff = Sw.ring_desc_off id in
               match
-                ( ctx_peek h.h ~off:doff ~width:8,
-                  ctx_peek h.h ~off:(doff + 8) ~width:4,
-                  ctx_peek h.h ~off:(doff + 12) ~width:4,
-                  ctx_peek h.h ~off:(doff + 16) ~width:8 )
+                ( host_peek h ~off:doff ~width:8,
+                  host_peek h ~off:(doff + 8) ~width:4,
+                  host_peek h ~off:(doff + 12) ~width:4,
+                  host_peek h ~off:(doff + 16) ~width:8 )
               with
               | Some data_gpa, Some len_raw, Some op_raw, Some meta -> (
                   let len = Int64.to_int (Int64.logand len_raw 0xFFFFFFFFL) in
@@ -394,8 +432,8 @@ let service h ~blk ~net =
           | None -> ()
           | Some (id, len) ->
               let u = Sw.ring_used_entry_off (h.used_next mod qsize) in
-              ignore (ctx_poke h.h ~off:u ~width:4 (Int64.of_int id));
-              ignore (ctx_poke h.h ~off:(u + 4) ~width:4 (Int64.of_int len));
+              ignore (host_poke h ~off:u ~width:4 (Int64.of_int id));
+              ignore (host_poke h ~off:(u + 4) ~width:4 (Int64.of_int len));
               h.used_next <- (h.used_next + 1) land 0xFFFF;
               h.h_served <- h.h_served + 1;
               incr completions;
@@ -408,7 +446,7 @@ let service h ~blk ~net =
         if !completions > 0 then begin
           (* Publish the used index once for the whole batch. *)
           ignore
-            (ctx_poke h.h ~off:Sw.ring_used_idx_off ~width:4
+            (host_poke h ~off:Sw.ring_used_idx_off ~width:4
                (Int64.of_int h.used_next));
           h.h_notifications <- h.h_notifications + 1;
           h.h.charge "ring_notify" h.h.cost.Cost.ring_notify

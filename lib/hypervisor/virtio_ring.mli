@@ -24,7 +24,12 @@
       GPAs and lengths before DMA (the IOPMP remains the backstop),
       services blk/net requests through the same device paths as the
       MMIO kicks, and publishes the used index once per batch —
-      doorbell coalescing. *)
+      doorbell coalescing.
+
+    The guest view reaches the ring page with CPU loads and stores. The
+    host view reaches it only as DMA from {!sid}, so the IOPMP refuses
+    a ring GPA that the host pointed into the secure pool: the host
+    cannot zero, read or write another CVM's page through the ring. *)
 
 type verdict =
   | V_ok
@@ -47,6 +52,9 @@ val watchdog_polls : int
 (** Empty polls with work outstanding before the stall watchdog
     degrades the ring. *)
 
+val sid : int
+(** The IOPMP source id of the host's polling device (5). *)
+
 type ctx
 (** Shared access context: bus, GPA→PA translation for the ring page,
     the metrics registry scope and the cycle-charging hook. *)
@@ -63,8 +71,10 @@ val make_ctx :
 type guest
 type host
 
-val create_pair : ctx -> guest * host
-(** Fresh guest and host views over a (zeroed) ring page. *)
+val create_pair : ctx -> (guest * host, string) result
+(** Fresh guest and host views over a ring page that the host zeroes by
+    DMA. [Error] when the ring GPA does not translate or the IOPMP
+    denies that DMA; nothing is written then. *)
 
 (** {2 Guest view — trusted driver} *)
 
@@ -105,7 +115,8 @@ val service : host -> blk:Virtio_blk.t -> net:Virtio_net.t -> int
     to the queue size), writing used entries as it goes and publishing
     the used index once at the end of the batch. Returns completions
     written. Never raises: malformed descriptors and IOPMP-rejected
-    DMA become zero-length error completions. *)
+    DMA become zero-length error completions, and a ring page the
+    IOPMP refuses is a host reject with nothing serviced. *)
 
 val retire : host -> unit
 (** Stop servicing (the hypervisor side of ring teardown). *)
@@ -132,5 +143,7 @@ val poke :
   int64 ->
   bool
 (** Read/write a field of the ring page directly, the way a Byzantine
-    host would — no validation, no charging. [off] is a byte offset
+    host would — no validation, no charging, but as DMA from {!sid},
+    like every host access: [None]/[false] when the page does not
+    translate or the IOPMP denies the access. [off] is a byte offset
     within the page ({!Guest.Swiotlb.ring_desc_off} etc.). *)

@@ -80,6 +80,8 @@ let to_string = function
   | Store { rs1; rs2; imm; width } ->
       Printf.sprintf "s%s %s, %Ld(%s)" (width_suffix width) (r rs2) imm
         (r rs1)
+  | Op_imm (Sltu, rd, rs1, imm) ->
+      Printf.sprintf "sltiu %s, %s, %Ld" (r rd) (r rs1) imm
   | Op_imm (op, rd, rs1, imm) ->
       Printf.sprintf "%si %s, %s, %Ld" (alu_name op) (r rd) (r rs1) imm
   | Op_imm_w (op, rd, rs1, imm) ->

@@ -3,6 +3,44 @@
 
 let check_hex name expected got = Alcotest.(check string) name expected got
 
+(* Lengths either side of the one-block (55/56) and block-size
+   (63/64/65) padding boundaries, one and two blocks in, fed one byte at
+   a time and as one slice at an even and an odd offset. *)
+let padding_edges init () =
+  List.iter
+    (fun len ->
+      let msg = String.init len (fun i -> Char.chr ((i * 7) land 0xff)) in
+      let expected = Sha256_ref.hex msg in
+      let ctx = init () in
+      String.iter (fun c -> Crypto.Sha256.update ctx (String.make 1 c)) msg;
+      check_hex
+        (Printf.sprintf "bytewise %d" len)
+        expected
+        (Crypto.Sha256.to_hex (Crypto.Sha256.finalize ctx));
+      List.iter
+        (fun off ->
+          let ctx = init () in
+          Crypto.Sha256.update_sub ctx (String.make off '.' ^ msg ^ "..") off
+            len;
+          check_hex
+            (Printf.sprintf "slice %d at offset %d" len off)
+            expected
+            (Crypto.Sha256.to_hex (Crypto.Sha256.finalize ctx)))
+        [ 0; 1; 3 ])
+    [ 0; 55; 56; 63; 64; 65; 119; 120; 127; 128; 129 ]
+
+(* 1,024 blocks at an odd offset. The OCaml rounds keep their 64-bit
+   words in unboxed locals, so a word that got boxed would cost heap on
+   every round; the C kernel takes every block in one [@@noalloc] call. *)
+let allocates_nothing init () =
+  let msg = String.make 65536 'x' in
+  let ctx = init () in
+  Crypto.Sha256.update ctx msg;
+  let before = Gc.minor_words () in
+  Crypto.Sha256.update_sub ctx msg 1 65534;
+  let words = Gc.minor_words () -. before in
+  if words > 64. then Alcotest.failf "%.0f heap words for 1,024 blocks" words
+
 let sha256_tests =
   [
     Alcotest.test_case "empty" `Quick (fun () ->
@@ -42,24 +80,8 @@ let sha256_tests =
               whole
               (Crypto.Sha256.to_hex (Crypto.Sha256.finalize ctx)))
           [ 0; 1; 55; 56; 63; 64; 65; 128; 200; 300 ]);
-    Alcotest.test_case "padding edges match the reference" `Quick (fun () ->
-        (* Lengths either side of the one-block (55/56) and block-size
-           (63/64/65) padding boundaries, one and two blocks in. *)
-        List.iter
-          (fun len ->
-            let msg = String.init len (fun i -> Char.chr ((i * 7) land 0xff)) in
-            let ctx = Crypto.Sha256.init () in
-            String.iter
-              (fun c -> Crypto.Sha256.update ctx (String.make 1 c))
-              msg;
-            let expected = Sha256_ref.hex msg in
-            check_hex (Printf.sprintf "one-shot %d" len) expected
-              (Crypto.Sha256.hex msg);
-            check_hex
-              (Printf.sprintf "bytewise %d" len)
-              expected
-              (Crypto.Sha256.to_hex (Crypto.Sha256.finalize ctx)))
-          [ 0; 55; 56; 63; 64; 65; 119; 120; 127; 128; 129 ]);
+    Alcotest.test_case "padding edges match the reference" `Quick
+      (padding_edges Crypto.Sha256.init);
     Alcotest.test_case "update_sub rejects slices outside the string" `Quick
       (fun () ->
         let ctx = Crypto.Sha256.init () in
@@ -73,17 +95,7 @@ let sha256_tests =
           "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
           (Crypto.Sha256.to_hex (Crypto.Sha256.finalize ctx)));
     Alcotest.test_case "hashing allocates nothing per block" `Quick
-      (fun () ->
-        (* The rounds keep their 64-bit words in unboxed locals; a word
-           that got boxed would cost heap on every round. *)
-        let msg = String.make 65536 'x' in
-        let ctx = Crypto.Sha256.init () in
-        Crypto.Sha256.update ctx msg;
-        let before = Gc.minor_words () in
-        Crypto.Sha256.update_sub ctx msg 1 65534;
-        let words = Gc.minor_words () -. before in
-        if words > 64. then
-          Alcotest.failf "%.0f heap words for 1,024 blocks" words);
+      (allocates_nothing Crypto.Sha256.init);
   ]
 
 (* The word-at-a-time kernel against the frozen byte-at-a-time one, on
@@ -92,9 +104,8 @@ let gen_msg = QCheck.Gen.(string_size ~gen:char (int_range 0 20480))
 
 let print_msg (msg, _) = Printf.sprintf "<%d-byte message>" (String.length msg)
 
-let sha256_split_prop =
-  QCheck.Test.make ~name:"sha256 = reference for any split of the input"
-    ~count:150
+let split_prop ~name init =
+  QCheck.Test.make ~name ~count:150
     (QCheck.make ~print:print_msg
        QCheck.Gen.(
          pair gen_msg (list_size (int_range 0 8) (int_range 0 20480))))
@@ -103,7 +114,7 @@ let sha256_split_prop =
       let cuts =
         List.sort_uniq compare (List.map (fun c -> c mod (n + 1)) cuts)
       in
-      let ctx = Crypto.Sha256.init () in
+      let ctx = init () in
       let last =
         List.fold_left
           (fun pos cut ->
@@ -114,9 +125,8 @@ let sha256_split_prop =
       Crypto.Sha256.update ctx (String.sub msg last (n - last));
       Crypto.Sha256.finalize ctx = Sha256_ref.digest msg)
 
-let sha256_slice_prop =
-  QCheck.Test.make ~name:"sha256 update_sub = reference on a slice"
-    ~count:150
+let slice_prop ~name init =
+  QCheck.Test.make ~name ~count:150
     (QCheck.make ~print:print_msg
        QCheck.Gen.(
          pair gen_msg
@@ -126,7 +136,7 @@ let sha256_slice_prop =
          fed as [pieces + 1] consecutive slices of it. *)
       let n = String.length msg in
       let host = String.make before 'L' ^ msg ^ String.make after 'R' in
-      let ctx = Crypto.Sha256.init () in
+      let ctx = init () in
       let step = (n / (pieces + 1)) + 1 in
       let rec feed pos =
         if pos < n then begin
@@ -137,6 +147,62 @@ let sha256_slice_prop =
       in
       feed 0;
       Crypto.Sha256.finalize ctx = Sha256_ref.digest msg)
+
+let sha256_split_prop =
+  split_prop ~name:"sha256 = reference for any split of the input"
+    Crypto.Sha256.init
+
+let sha256_slice_prop =
+  slice_prop ~name:"sha256 update_sub = reference on a slice"
+    Crypto.Sha256.init
+
+(* The checks above once more on each kernel by name, whichever one
+   CPUID picked. A kernel this host lacks reports its cases as
+   skipped. *)
+let kernel_tests =
+  let module K = Crypto.Sha256.Kernel in
+  let per_kernel k =
+    let name what = Printf.sprintf "%s kernel: %s" (K.name k) what in
+    let init () = Crypto.Sha256.init_on k in
+    let cases =
+      [
+        Alcotest.test_case (name "padding edges = reference") `Quick
+          (padding_edges init);
+        Alcotest.test_case (name "allocates nothing per block") `Quick
+          (allocates_nothing init);
+        QCheck_alcotest.to_alcotest
+          (split_prop ~name:(name "any split = reference") init);
+        QCheck_alcotest.to_alcotest
+          (slice_prop ~name:(name "slice at any offset = reference") init);
+      ]
+    in
+    if K.available k then cases
+    else
+      List.map
+        (fun (n, speed, _) -> Alcotest.test_case n speed Alcotest.skip)
+        cases
+  in
+  let cpuinfo_lists_sha_ni () =
+    match In_channel.with_open_text "/proc/cpuinfo" In_channel.input_all with
+    | text ->
+        List.exists
+          (fun line ->
+            String.starts_with ~prefix:"flags" line
+            && List.mem "sha_ni" (String.split_on_char ' ' line))
+          (String.split_on_char '\n' text)
+    | exception Sys_error _ -> false
+  in
+  List.concat_map per_kernel [ K.Ocaml; K.Sha_ni ]
+  @ [
+      (* A build that silently compiled the C stub's fallback would
+         still pass every digest check above. *)
+      Alcotest.test_case "sha-ni is active where cpuinfo lists sha_ni"
+        `Quick (fun () ->
+          if not (cpuinfo_lists_sha_ni ()) then Alcotest.skip ();
+          Alcotest.(check string)
+            "active kernel" "sha-ni"
+            (K.name K.active));
+    ]
 
 let sha512_tests =
   [
@@ -291,6 +357,7 @@ let aes_cbc_prop =
 let suite =
   [
     ("crypto.sha256", sha256_tests);
+    ("crypto.sha256.kernels", kernel_tests);
     ("crypto.sha512", sha512_tests);
     ("crypto.aes", aes_tests);
     ("crypto.norx", norx_tests);

@@ -518,7 +518,59 @@ let attack_tests =
             let _, _, kvm = make_stack () in
             let h = make_guest kvm (Guest.Gprog.hello "x") in
             check_blocked name (attack kvm h))
-          Hypervisor.Attacks.ring_vectors)
+          Hypervisor.Attacks.ring_vectors);
+    Alcotest.test_case "the host reaches the ring page only as IOPMP-checked DMA"
+      `Quick (fun () ->
+        let machine, monitor, kvm = make_stack () in
+        let bus = machine.Machine.bus in
+        let shared h = Kvm.cvm_shared_map h in
+        let alias h pa =
+          Hypervisor.Shared_map.map_secure_page_for_attack (shared h)
+            ~gpa:Sw.ring_gpa ~pa
+        in
+        let page pa = Bus.read_bytes bus pa 4096 in
+        (* An enable over a secure page writes nothing and binds no
+           ring. *)
+        let h = make_guest kvm (Guest.Gprog.hello "x") in
+        let h2 = make_guest kvm (Guest.Gprog.hello "y") in
+        let victim = secure_pa_of monitor in
+        let before = page victim in
+        alias h victim;
+        (match Kvm.enable_exitless_io kvm h with
+        | Ok _ -> Alcotest.fail "enabled over a secure page"
+        | Error _ -> ());
+        Alcotest.(check bool) "no ring bound" false (Kvm.exitless_active kvm h);
+        Alcotest.(check bool) "victim untouched by enable" true
+          (page victim = before);
+        (* Control: the same plumbing aimed at normal memory takes
+           effect. *)
+        let normal =
+          match
+            Hypervisor.Shared_map.lookup (shared h2) ~gpa:(Sw.slot_gpa 5)
+          with
+          | Some pa -> pa
+          | None -> Alcotest.fail "bounce slot unmapped"
+        in
+        Bus.write_bytes bus normal (String.make 4096 'X');
+        alias h2 normal;
+        ignore (enable kvm h2 : Ring.guest);
+        Alcotest.(check bool) "normal page scrubbed" true
+          (page normal = String.make 4096 '\000');
+        (* A live ring re-aimed at the secure page: the host's pokes and
+           its polling are refused, and each refused poll is a host
+           reject. *)
+        alias h2 victim;
+        Alcotest.(check bool) "poke refused" false
+          (Ring.poke ~bus
+             ~translate:(fun gpa ->
+               Hypervisor.Shared_map.lookup (shared h2) ~gpa)
+             ~off:Sw.ring_avail_idx_off ~width:4 1L);
+        ignore (Kvm.service_exitless kvm h2 : int);
+        Alcotest.(check int) "host reject counted" 1
+          (match Kvm.exitless_host kvm h2 with
+          | Some host -> Ring.host_rejects host
+          | None -> -1);
+        Alcotest.(check bool) "victim untouched" true (page victim = before));
   ]
 
 (* ---------- health / counters surfacing ---------- *)

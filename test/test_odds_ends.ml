@@ -55,6 +55,7 @@ let disasm_tests =
             (0x30200073L, "mret");
             (0x10500073L, "wfi");
             (0x00c58533L, "add a0, a1, a2");
+            (0x0055b513L, "sltiu a0, a1, 5");
             (0xFFFFFFFFL, ".word 0xffffffff");
           ]);
     Alcotest.test_case "register names follow the ABI" `Quick (fun () ->

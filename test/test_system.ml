@@ -375,6 +375,12 @@ let attack_tests =
           "guest saw no packet" "!"
           (Machine.console_output machine));
     Alcotest.test_case
+      "attack suite: an exitless ring over another CVM's page is refused"
+      `Quick (fun () ->
+        let _, _, kvm = make_stack () in
+        expect_blocked "ring alias"
+          (Hypervisor.Attacks.ring_alias_private_page kvm));
+    Alcotest.test_case
       "attack suite: DMA via hostile shared mapping dies on IOPMP" `Quick
       (fun () ->
         let machine, _, kvm = make_stack () in
