@@ -1,13 +1,4 @@
 let ext_zion = 0x5A494F4EL (* "ZION" *)
-let fid_register_region = 0L
-let fid_create_cvm = 1L
-let fid_load_image = 2L
-let fid_finalize_cvm = 3L
-let fid_run_vcpu = 4L
-let fid_install_shared = 5L
-let fid_destroy_cvm = 6L
-let fid_get_vcpu_reg = 7L
-let fid_set_vcpu_reg = 8L
 let fid_guest_report = 16L
 let fid_guest_random = 17L
 let fid_guest_share = 18L

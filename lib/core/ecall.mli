@@ -3,23 +3,14 @@
     Two interfaces, as in the paper's Figure 1: a host-side interface
     the hypervisor uses to drive confidential-VM lifecycles, and a
     guest-side interface confidential VMs use for measurement reports,
-    randomness, and shared-memory registration. Function identifiers
-    live in a vendor extension range; guests place the extension id in
-    a7 and the function id in a6, SBI-style. *)
+    randomness, and shared-memory registration. The host side is the
+    functions of [Monitor], which the simulated hypervisor calls
+    directly in place of an [ecall] from HS, so only the guest side has
+    function identifiers. They live in a vendor extension range; guests
+    place the extension id in a7 and the function id in a6, SBI-style. *)
 
 val ext_zion : int64
 (** Vendor extension id (a7). *)
-
-(* Host-side function ids *)
-val fid_register_region : int64
-val fid_create_cvm : int64
-val fid_load_image : int64
-val fid_finalize_cvm : int64
-val fid_run_vcpu : int64
-val fid_install_shared : int64
-val fid_destroy_cvm : int64
-val fid_get_vcpu_reg : int64
-val fid_set_vcpu_reg : int64
 
 (* Guest-side function ids *)
 val fid_guest_report : int64

@@ -18,7 +18,7 @@ type t = {
   devices : Mmio_emul.t;
   cost : Cost.t;
   mutable io_bindings : (int * io_binding) list;  (* cvm id -> ring *)
-  mutable nvm_faults : int list;
+  mutable nvm_faults : int;
   mutable mmio_serviced : int;
   mutable expansions : int;
   mutable expand_stalls : int;
@@ -48,7 +48,7 @@ let create ~machine ~monitor ?(disk_sectors = 262144) () =
     devices;
     cost = machine.Machine.cost;
     io_bindings = [];
-    nvm_faults = [];
+    nvm_faults = 0;
     mmio_serviced = 0;
     expansions = 0;
     expand_stalls = 0;
@@ -173,9 +173,8 @@ let handle_nvm_fault t nvm gpa =
        in the hypervisor's subtree so the layout matches the CVM case *)
     match Shared_map.map_fresh nvm.nvm_shared ~gpa:page_gpa with
     | Ok _ ->
-        let cycles = Cost.kvm_fault t.cost in
-        charge t "kvm_fault" (cycles - t.cost.Cost.trap_entry);
-        t.nvm_faults <- cycles :: t.nvm_faults;
+        charge t "kvm_fault" (Cost.kvm_fault t.cost - t.cost.Cost.trap_entry);
+        t.nvm_faults <- t.nvm_faults + 1;
         Ok ()
     | Error e -> Error e
   end
@@ -187,9 +186,8 @@ let handle_nvm_fault t nvm gpa =
       match Zion.Spt.map_private nvm.spt ~gpa:page_gpa ~pa ~writable:true with
       | Error e -> Error e
       | Ok () ->
-          let cycles = Cost.kvm_fault t.cost in
-          charge t "kvm_fault" (cycles - t.cost.Cost.trap_entry);
-          t.nvm_faults <- cycles :: t.nvm_faults;
+          charge t "kvm_fault" (Cost.kvm_fault t.cost - t.cost.Cost.trap_entry);
+          t.nvm_faults <- t.nvm_faults + 1;
           Ok ()
     end
 
@@ -233,8 +231,7 @@ let run_normal_vm t nvm ~hart:hart_id ~max_steps =
        entries under this VMID once meant, they are gone before any
        guest access can use them. *)
     if Hashtbl.find_opt nvm.hgatp_seen hart_id <> Some hgatp then begin
-      Tlb.flush_vmid hart.Hart.tlb vmid;
-      Hart.invalidate_fast_path hart;
+      Hart.fence hart (fun tlb -> Tlb.flush_vmid tlb vmid);
       charge t "nvm_tlb_fence" t.cost.Cost.tlb_vmid_flush;
       Hashtbl.replace nvm.hgatp_seen hart_id hgatp
     end;
@@ -349,7 +346,7 @@ let run_normal_vm t nvm ~hart:hart_id ~max_steps =
     loop 0
   end
 
-let nvm_fault_log t = t.nvm_faults
+let nvm_fault_count t = t.nvm_faults
 
 (* ---------- confidential VMs ---------- *)
 
@@ -555,9 +552,8 @@ let enable_exitless_io t h =
 
 (* Tear the device association down — not the CVM. The host side stops
    polling, the guest side falls back to exitful kicks (releasing its
-   bounce slots exactly once and scrubbing the page), and the ring
-   page leaves the shared subtree so nothing stale can be replayed
-   into a future ring. *)
+   bounce slots exactly once), and the ring page leaves the shared
+   subtree; a future ring starts on a page zeroed by DMA. *)
 let disable_exitless_io t h =
   match List.assoc_opt h.cid t.io_bindings with
   | None -> ()

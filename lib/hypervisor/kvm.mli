@@ -46,8 +46,10 @@ val run_normal_vm :
 (** KVM vCPU loop: runs the guest, servicing stage-2 faults, MMIO and
     SBI calls in HS mode; returns on timer, shutdown, or step budget. *)
 
-val nvm_fault_log : t -> int list
-(** Cycles charged per normal-VM stage-2 fault, most recent first. *)
+val nvm_fault_count : t -> int
+(** Normal-VM stage-2 faults served so far. Each charges
+    [Cost.kvm_fault] in all: the trap's [trap_entry] plus the rest under
+    the ledger category ["kvm_fault"]. *)
 
 (* {2 Confidential VMs} *)
 
@@ -126,8 +128,8 @@ val enable_exitless_io :
 val disable_exitless_io : t -> cvm_handle -> unit
 (** Tear the device association down: retire the host poller, force
     the guest view into exitful fallback (bounce slots released
-    exactly once, ring page scrubbed), and unmap the ring page from
-    the shared subtree. Idempotent. *)
+    exactly once), and unmap the ring page from the shared subtree.
+    Writes nothing to the ring page. Idempotent. *)
 
 val service_exitless : t -> cvm_handle -> int
 (** Drain the CVM's ring once (host side); returns completions

@@ -114,12 +114,6 @@ type host = {
   mutable h_active : bool;
 }
 
-(* The guest's driver clears the page it is giving up. *)
-let cpu_scrub ctx =
-  match ring_pa ~translate:ctx.translate ~off:0 with
-  | None -> ()
-  | Some pa -> Bus.zero_range ctx.bus pa 4096
-
 let create_pair ctx =
   (* The host hands the guest a zeroed page, by DMA like every other
      host access. *)
@@ -166,9 +160,10 @@ let force_fallback g =
   if g.g_mode = Exitless then begin
     g.g_mode <- Fallen_back;
     inc g.g "sm.io.fallbacks";
-    (* Release every in-flight bounce slot exactly once, then scrub the
-       page so a stale completion cannot be replayed into a future
-       ring incarnation. *)
+    (* Release every in-flight bounce slot exactly once. The page is
+       left as it is: the guest no longer trusts anything in it, and a
+       future ring starts from a page [create_pair] zeroed by DMA, so
+       no stale completion can replay into it. *)
     Array.iteri
       (fun i sh ->
         match sh with
@@ -177,8 +172,7 @@ let force_fallback g =
             release_slot g sh.s_slot;
             g.shadow.(i) <- None)
       g.shadow;
-    g.g_outstanding <- 0;
-    cpu_scrub g.g
+    g.g_outstanding <- 0
   end
 
 let strike g =

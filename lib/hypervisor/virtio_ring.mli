@@ -14,10 +14,9 @@
       posted), and the descriptor bytes themselves (unchanged
       mid-flight). Each violation is a typed {!verdict} and a strike;
       {!max_strikes} strikes, or a stalled ring caught by the poll
-      watchdog, degrade the ring: the page is scrubbed, bounce slots
-      are released exactly once, and the guest falls back to the
-      exitful MMIO kick path. The CVM keeps running — only the device
-      association dies.
+      watchdog, degrade the ring: bounce slots are released exactly
+      once, and the guest falls back to the exitful MMIO kick path. The
+      CVM keeps running — only the device association dies.
 
     - the {e host view} is a defensive polling device: it clamps a
       runaway avail index to the queue size, bounds-checks descriptor
@@ -104,9 +103,12 @@ val outstanding : guest -> int
 val guest_pool : guest -> Guest.Swiotlb.pool
 
 val force_fallback : guest -> unit
-(** Degrade immediately (external watchdog / teardown path): scrub the
-    ring page, release in-flight bounce slots exactly once, switch to
-    [Fallen_back]. Idempotent. *)
+(** Degrade immediately (external watchdog / teardown path): release
+    in-flight bounce slots exactly once, switch to [Fallen_back].
+    Idempotent. The ring page is not written: the guest reaches it
+    through the host's translation, which may no longer point at the
+    page the ring was created on, and the next ring's page is zeroed by
+    {!create_pair}. *)
 
 (** {2 Host view — defensive device} *)
 

@@ -189,6 +189,10 @@ let invalidate_fast_path t =
   Array.fill t.fp.dcache 0 dcache_ways None;
   t.fp.cl_gen <- -1
 
+let fence t flush =
+  flush t.tlb;
+  invalidate_fast_path t
+
 let flush_decode_cache t = Array.fill t.fp.dcache 0 dcache_ways None
 let fast_path_enabled t = t.fp.fp_enabled
 
@@ -469,14 +473,6 @@ let amo_read_mem t va len =
   | v -> v
   | exception Bus.Fault _ ->
       raise (Trap_exn (Cause.Store_access_fault, va, 0L))
-
-let fetch t =
-  check_align Sv39.Fetch t.pc 4;
-  let pa = translate ~len:4 t Sv39.Fetch t.pc in
-  match Bus.read t.bus pa 4 with
-  | v -> v
-  | exception Bus.Fault _ ->
-      raise (Trap_exn (Cause.Instr_access_fault, t.pc, 0L))
 
 (* The (raw, decoded) pair for [raw], shared through the word table:
    an instruction word that recurs across cached slots and pages is

@@ -120,6 +120,12 @@ val invalidate_fast_path : t -> unit
     cache. The shared word table is kept: it depends on nothing but
     the word. *)
 
+val fence : t -> (Tlb.t -> unit) -> unit
+(** [fence t flush] runs the TLB flush [flush] on this hart's TLB and
+    then {!invalidate_fast_path}, so the memos a dead VM left behind go
+    with its TLB entries. Every TLB shootdown outside a world switch
+    goes through here. *)
+
 val flush_decode_cache : t -> unit
 (** Drop only the decoded pages ([fence.i]). *)
 
@@ -155,15 +161,12 @@ val amo_read_mem : t -> int64 -> int -> int64
     (Store/AMO misaligned, access- and page-fault causes; requires
     write permission), as the spec demands for both halves of an AMO. *)
 
-val fetch : t -> int64
-(** Fetch the 32-bit instruction at the current pc (uncached path). *)
-
 val fetch_decoded : t -> int64 * Decode.t
 (** Fetch and decode the instruction at the current pc, serving from
     the fetch-translation memo and decoded-instruction cache when the
     fast path is enabled and valid. Returns [(raw word, decoded)].
-    Behaves exactly like [fetch] + [Decode.decode] in every
-    architecturally visible way. *)
+    Behaves exactly like a [translate]d 4-byte read at the pc followed
+    by [Decode.decode], in every architecturally visible way. *)
 
 val asid : t -> int
 (** Current ASID from (v)satp. *)

@@ -571,6 +571,47 @@ let attack_tests =
           | Some host -> Ring.host_rejects host
           | None -> -1);
         Alcotest.(check bool) "victim untouched" true (page victim = before));
+    Alcotest.test_case
+      "disabling a live ring re-aimed at secure memory leaves it intact"
+      `Quick (fun () ->
+        let machine, monitor, kvm = make_stack () in
+        let bus = machine.Machine.bus in
+        let page pa = Bus.read_bytes bus pa 4096 in
+        let ring_pa h =
+          Hypervisor.Shared_map.lookup (Kvm.cvm_shared_map h) ~gpa:Sw.ring_gpa
+        in
+        let a = make_guest kvm (Guest.Gprog.hello "a") in
+        let b = make_guest kvm (Guest.Gprog.hello "b") in
+        (* A free pool block no guest owns yet, holding a marker. *)
+        let victim =
+          match
+            List.rev (Zion.Secmem.free_list_bases (Zion.Monitor.secmem monitor))
+          with
+          | base :: _ -> base
+          | [] -> Alcotest.fail "no free secure block"
+        in
+        let marker = String.make 4096 'M' in
+        Bus.write_bytes bus victim marker;
+        (* CVM A's ring is live on a normal page; the host re-aims the
+           leaf at the secure page, then disables exitless I/O. *)
+        let ga = enable kvm a in
+        Hypervisor.Shared_map.map_secure_page_for_attack (Kvm.cvm_shared_map a)
+          ~gpa:Sw.ring_gpa ~pa:victim;
+        Kvm.disable_exitless_io kvm a;
+        Alcotest.(check bool) "marker intact" true (page victim = marker);
+        Alcotest.(check bool) "fell back" true
+          (Ring.guest_mode ga = Ring.Fallen_back);
+        Alcotest.(check bool) "alias unmapped" true (ring_pa a = None);
+        (* Control: without the alias the ring still falls back and its
+           page leaves the shared subtree. *)
+        let gb = enable kvm b in
+        Kvm.disable_exitless_io kvm b;
+        Alcotest.(check bool) "control fell back" true
+          (Ring.guest_mode gb = Ring.Fallen_back);
+        Alcotest.(check bool) "control unmapped" true (ring_pa b = None);
+        Alcotest.(check bool) "no ring bound" false
+          (Kvm.exitless_active kvm a || Kvm.exitless_active kvm b);
+        check_audit_clean monitor "after both disables");
   ]
 
 (* ---------- health / counters surfacing ---------- *)
