@@ -242,26 +242,17 @@ let bench_faults () =
 (* ---------- Observability: flight-recorder summary ---------- *)
 
 (* Re-run a small MMIO switch storm with the SM flight recorder enabled
-   and print the counters/histograms it collected — the per-experiment
-   summary the recorder produces for any traced run. *)
+   ([Platform.Telemetry], the run behind [zionctl telemetry]) and print
+   the counters/histograms it collected — the per-experiment summary the
+   recorder produces for any traced run. *)
 let bench_observability () =
   Metrics.Table.section
     "Observability — SM flight recorder over a 50-switch MMIO storm";
-  let tb = Platform.Testbed.create () in
-  let mon = tb.Platform.Testbed.monitor in
-  Metrics.Trace.enable (Zion.Monitor.trace mon);
-  let handle =
-    Platform.Testbed.cvm tb (Platform.Exp_switch.mmio_program ~iterations:50)
-  in
-  gate_shutdown "traced guest"
-    (Hypervisor.Kvm.run_cvm tb.Platform.Testbed.kvm handle ~hart:0
-       ~max_steps:10_000_000);
+  let r = Platform.Telemetry.run Platform.Telemetry.Switch in
+  let mon = r.Platform.Telemetry.testbed.Platform.Testbed.monitor in
+  gate_shutdown "traced guest" r.Platform.Telemetry.outcome;
   print_string (Metrics.Registry.dump (Zion.Monitor.registry mon));
-  let tr = Zion.Monitor.trace mon in
-  Printf.printf "trace: %d events recorded, %d dropped (capacity %d)\n"
-    (Metrics.Trace.recorded tr)
-    (Metrics.Trace.dropped tr)
-    (Metrics.Trace.capacity tr)
+  print_string (Platform.Telemetry.trace_summary r)
 
 (* ---------- Observability: profiler sampling overhead ---------- *)
 

@@ -3,18 +3,22 @@
 
    Subcommands:
      boot         boot a confidential VM that prints a message
-     attacks      run the malicious-hypervisor suite
-     trace        run a workload under the SM flight recorder and export
-                  the event trace (Chrome trace_event or JSON lines)
-     stats        run a workload and print the SM's counters, histograms
-                  and cycle-ledger attribution
+     attacks      run the malicious-hypervisor suite (Hypervisor.Attacks)
+     audit        sweep the platform's security invariants after a boot
+     recover      stage an SM crash at a journal point and recover
+     fuzz         fault-inject the SM under a hostile hypervisor, or
+                  sweep every SM crash point
+     migrate      migrate a live CVM over a lossy channel
+     telemetry    run a workload under the SM flight recorder and export
+                  its counters, histograms, ledger, trace and profile
+                  (table / JSON / Prometheus / Chrome trace / JSON lines
+                  / folded stacks)
      top          drive a traced Redis CVM and print live per-tenant
                   health snapshots
      io           poison a live exitless virtio ring and verify the
                   degradation to exitful kicks
-     export       drive a traced+profiled Redis CVM and export the
-                  telemetry plane (Prometheus text / JSON / folded
-                  profile / Chrome trace)
+     channel      attested inter-CVM channel demo and hostile-peer
+                  vectors
      costs        dump the calibrated cost model *)
 
 open Cmdliner
@@ -94,28 +98,8 @@ let choose_vectors vectors name =
 let attacks_cmd =
   let run () =
     let tb = Platform.Testbed.create () in
-    let machine = tb.Platform.Testbed.machine in
-    let mon = tb.Platform.Testbed.monitor in
-    let pool =
-      match Zion.Secmem.regions (Zion.Monitor.secmem mon) with
-      | (base, _) :: _ -> base
-      | [] -> failwith "no pool"
-    in
     print_verdicts ~json:false
-      [
-        ( "read secure memory",
-          Hypervisor.Attacks.read_secure_memory machine ~pool_pa:pool );
-        ( "write secure memory",
-          Hypervisor.Attacks.write_secure_memory machine ~pool_pa:pool );
-        ( "DMA into the pool",
-          Hypervisor.Attacks.dma_into_pool machine ~pool_pa:pool );
-        ( "blk read into a pool page",
-          Hypervisor.Attacks.blk_read_into_pool tb.Platform.Testbed.kvm );
-        ( "net RX fill into a pool page",
-          Hypervisor.Attacks.net_rx_into_pool tb.Platform.Testbed.kvm );
-        ( "exitless ring over another CVM's page",
-          Hypervisor.Attacks.ring_alias_private_page tb.Platform.Testbed.kvm );
-      ]
+      (Hypervisor.Attacks.host_suite tb.Platform.Testbed.kvm)
   in
   Cmd.v
     (Cmd.info "attacks"
@@ -565,169 +549,100 @@ let migrate_cmd =
       const run $ loss $ dup $ reorder $ corrupt $ seed $ chunk $ crash_at
       $ crash_side)
 
-(* ---------- trace / stats ---------- *)
+(* ---------- telemetry ---------- *)
 
-(* Run one of the small tracing workloads under an enabled flight
-   recorder and hand back the testbed for export. *)
-let traced_run exp iterations =
-  let pool_mib = match exp with `Fault -> 1 | `Switch | `Boot -> 8 in
-  let tb = Platform.Testbed.create ~pool_mib () in
-  let mon = tb.Platform.Testbed.monitor in
-  Metrics.Trace.enable (Zion.Monitor.trace mon);
-  let program =
-    match exp with
-    | `Switch -> Platform.Exp_switch.mmio_program ~iterations
-    | `Fault ->
-        Guest.Gprog.touch_pages ~start_gpa:0x800000L ~pages:iterations
-        @ Guest.Gprog.shutdown
-    | `Boot -> Guest.Gprog.hello "traced boot\n"
+let telemetry_cmd =
+  let exp =
+    Arg.(
+      value
+      & opt (enum Platform.Telemetry.workloads) Platform.Telemetry.Switch
+      & info [ "exp" ] ~docv:"WORKLOAD"
+          ~doc:
+            "Workload to trace: $(b,switch) (MMIO world-switch storm), \
+             $(b,fault) (page-touch storm over a small pool), $(b,boot) \
+             (hello-world guest) or $(b,redis) (RESP requests over \
+             virtio-net, with the guest PC-sampling profiler on).")
   in
-  let handle = Platform.Testbed.cvm tb program in
-  (match
-     Hypervisor.Kvm.run_cvm_to_completion tb.Platform.Testbed.kvm handle
-       ~hart:0 ~quantum:Platform.Testbed.quantum_cycles ~max_slices:100
-   with
-  | Hypervisor.Kvm.C_shutdown -> ()
-  | _ -> prerr_endline "warning: traced guest did not shut down");
-  tb
-
-let exp_arg =
-  Arg.(
-    value
-    & opt (enum [ ("switch", `Switch); ("fault", `Fault); ("boot", `Boot) ])
-        `Switch
-    & info [ "exp" ] ~docv:"WORKLOAD"
-        ~doc:
-          "Workload to trace: $(b,switch) (MMIO world-switch storm), \
-           $(b,fault) (page-touch storm over a small pool), or \
-           $(b,boot) (hello-world guest).")
-
-let iterations_arg =
-  Arg.(
-    value
-    & opt int 50
-    & info [ "iterations" ] ~docv:"N"
-        ~doc:"MMIO loads (switch) or pages touched (fault).")
-
-let trace_cmd =
+  let n =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "n"; "iterations" ] ~docv:"N"
+          ~doc:
+            "Workload size: MMIO loads (switch), pages touched (fault) or \
+             RESP requests (redis); boot ignores it. Default 50, or 24 \
+             for redis.")
+  in
+  let format =
+    Arg.(
+      value
+      & opt (enum Platform.Telemetry.formats) Platform.Telemetry.Table
+      & info [ "format" ] ~docv:"FMT"
+          ~doc:
+            "$(b,table) (counters, histograms, TLB, PMP and cycle-ledger \
+             tables), $(b,json) (counters, histograms, trace summary and \
+             cycle ledger as one JSON document, plus the run totals for \
+             redis), $(b,prom) (Prometheus text exposition), $(b,chrome) \
+             (a chrome://tracing / Perfetto trace_event file), $(b,jsonl) \
+             (one JSON object per trace event) or $(b,folded) (the redis \
+             profile's folded stacks, flamegraph.pl input).")
+  in
   let out =
     Arg.(
       value
       & opt (some string) None
       & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:"Write the trace to $(docv) instead of stdout.")
+          ~doc:"Write the export to $(docv) instead of stdout.")
   in
-  let format =
+  let check =
     Arg.(
-      value
-      & opt (enum [ ("chrome", `Chrome); ("jsonl", `Jsonl) ]) `Chrome
-      & info [ "format" ] ~docv:"FMT"
+      value & flag
+      & info [ "check" ]
           ~doc:
-            "$(b,chrome) for a chrome://tracing / Perfetto-loadable \
-             trace_event file, $(b,jsonl) for one JSON object per event.")
+            "Parse a json or prom export back with the built-in parser \
+             and fail (exit 1) if it does not round-trip.")
   in
-  let run exp iterations format out =
-    let tb = traced_run exp iterations in
-    let tr = Zion.Monitor.trace tb.Platform.Testbed.monitor in
-    let data =
-      match format with
-      | `Chrome -> Metrics.Trace.to_chrome tr
-      | `Jsonl -> Metrics.Trace.to_jsonl tr
-    in
+  let run exp n format out check =
+    let r = Platform.Telemetry.run ?n exp in
+    if r.Platform.Telemetry.outcome <> Hypervisor.Kvm.C_shutdown then
+      prerr_endline "warning: traced guest did not shut down";
+    let data = Platform.Telemetry.render format r in
+    if check then begin
+      let parsed =
+        match format with
+        | Platform.Telemetry.Prom ->
+            Result.map
+              (fun samples ->
+                Printf.sprintf "%d prometheus samples parsed"
+                  (List.length samples))
+              (Metrics.Export.parse_prometheus data)
+        | Platform.Telemetry.Json ->
+            Result.map (fun _ -> "JSON parsed") (Metrics.Export.parse_json data)
+        | _ -> Ok "nothing to parse"
+      in
+      match parsed with
+      | Ok what -> prerr_endline ("check: " ^ what)
+      | Error e ->
+          Printf.eprintf "check FAILED: %s\n" e;
+          exit 1
+    end;
     match out with
     | Some path ->
         let oc = open_out path in
         output_string oc data;
         close_out oc;
-        Printf.printf "%d events (%d dropped) -> %s\n"
-          (List.length (Metrics.Trace.events tr))
-          (Metrics.Trace.dropped tr)
-          path
+        Printf.eprintf "wrote %s; %s" path (Platform.Telemetry.trace_summary r)
     | None -> print_string data
   in
   Cmd.v
-    (Cmd.info "trace"
-       ~doc:"Run a workload under the SM flight recorder and export it")
-    Term.(const run $ exp_arg $ iterations_arg $ format $ out)
+    (Cmd.info "telemetry"
+       ~doc:
+         "Run one workload under the SM flight recorder and export what \
+          it recorded: counters, histograms, cycle ledger, event trace \
+          and (redis) guest profile")
+    Term.(const run $ exp $ n $ format $ out $ check)
 
-let stats_cmd =
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Emit the registry, trace summary and cycle ledger as one \
-             JSON object instead of tables.")
-  in
-  let run exp iterations json_out =
-    let tb = traced_run exp iterations in
-    let mon = tb.Platform.Testbed.monitor in
-    let tr = Zion.Monitor.trace mon in
-    if json_out then begin
-      let open Metrics.Export in
-      let extra =
-        [
-          ( "trace",
-            Obj
-              [
-                ("recorded", num_of_int (Metrics.Trace.recorded tr));
-                ("dropped", num_of_int (Metrics.Trace.dropped tr));
-                ("capacity", num_of_int (Metrics.Trace.capacity tr));
-              ] );
-          ( "ledger",
-            Obj
-              (List.map
-                 (fun (c, n) -> (c, num_of_int n))
-                 (Metrics.Ledger.categories
-                    tb.Platform.Testbed.machine.Riscv.Machine.ledger)) );
-        ]
-      in
-      print_endline
-        (json_to_string
-           (registry_to_json ~extra (Zion.Monitor.registry mon)))
-    end
-    else begin
-    print_string (Metrics.Registry.dump (Zion.Monitor.registry mon));
-    Metrics.Table.section "TLB (per hart)";
-    Metrics.Table.print
-      ~header:[ "hart"; "hits"; "misses"; "flushes"; "occupancy" ]
-      (Array.to_list
-         (Array.mapi
-            (fun i h ->
-              let tlb = h.Riscv.Hart.tlb in
-              [
-                string_of_int i;
-                string_of_int (Riscv.Tlb.hits tlb);
-                string_of_int (Riscv.Tlb.misses tlb);
-                string_of_int (Riscv.Tlb.flushes tlb);
-                string_of_int (Riscv.Tlb.occupancy tlb);
-              ])
-            tb.Platform.Testbed.machine.Riscv.Machine.harts));
-    Metrics.Table.section "PMP guard";
-    Metrics.Table.print
-      ~header:[ "counter"; "count" ]
-      (List.map
-         (fun (c, n) -> [ c; string_of_int n ])
-         (Zion.Monitor.pmp_counters mon));
-    Metrics.Table.section "cycle ledger (cycles by category)";
-    Metrics.Table.print
-      ~header:[ "category"; "cycles" ]
-      (List.map
-         (fun (c, n) -> [ c; string_of_int n ])
-         (Metrics.Ledger.categories
-            tb.Platform.Testbed.machine.Riscv.Machine.ledger));
-    Printf.printf "trace: %d events recorded, %d dropped (capacity %d)\n"
-      (Metrics.Trace.recorded tr)
-      (Metrics.Trace.dropped tr)
-      (Metrics.Trace.capacity tr)
-    end
-  in
-  Cmd.v
-    (Cmd.info "stats"
-       ~doc:"Run a workload and print the SM's counters and histograms")
-    Term.(const run $ exp_arg $ iterations_arg $ json)
-
-(* ---------- top / export ---------- *)
+(* ---------- top ---------- *)
 
 let print_health h =
   Metrics.Table.section
@@ -1010,136 +925,6 @@ let channel_cmd =
           and verify the channel — never the tenant — absorbs the blast")
     Term.(const run $ msg $ attack $ json)
 
-let export_cmd =
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("prom", `Prom); ("json", `Json) ]) `Prom
-      & info [ "format" ] ~docv:"FMT"
-          ~doc:
-            "$(b,prom) for Prometheus text exposition, $(b,json) for \
-             one JSON document.")
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:"Write the export to $(docv) instead of stdout.")
-  in
-  let check =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Parse the export back with the built-in parser and fail \
-             (exit 1) if it does not round-trip — the CI smoke \
-             assertion.")
-  in
-  let profile_interval =
-    Arg.(
-      value
-      & opt int 64
-      & info [ "profile-interval" ] ~docv:"INSNS"
-          ~doc:"Guest PC-sampling interval in retired instructions.")
-  in
-  let profile_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "profile-out" ] ~docv:"FILE"
-          ~doc:"Also write the profiler's folded-stack output \
-                (flamegraph.pl input) to $(docv).")
-  in
-  let trace_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:"Also write the Chrome trace_event export to $(docv).")
-  in
-  let run format out check profile_interval profile_out trace_out requests =
-    let tb, stats =
-      Platform.Exp_redis.run_traced ~requests ~profile_interval ()
-    in
-    let mon = tb.Platform.Testbed.monitor in
-    let reg = Zion.Monitor.registry mon in
-    let data =
-      match format with
-      | `Prom -> Metrics.Export.registry_to_prometheus reg
-      | `Json ->
-          let extra =
-            [
-              ( "run",
-                Metrics.Export.Obj
-                  [
-                    ( "requests",
-                      Metrics.Export.num_of_int
-                        stats.Platform.Exp_redis.t_requests );
-                    ( "completed",
-                      Metrics.Export.num_of_int
-                        stats.Platform.Exp_redis.t_completed );
-                    ( "total_cycles",
-                      Metrics.Export.num_of_int
-                        stats.Platform.Exp_redis.t_total_cycles );
-                  ] );
-            ]
-          in
-          Metrics.Export.json_to_string
-            (Metrics.Export.registry_to_json ~extra reg)
-          ^ "\n"
-    in
-    if check then begin
-      match format with
-      | `Prom -> (
-          match Metrics.Export.parse_prometheus data with
-          | Ok samples ->
-              Printf.eprintf "check: %d prometheus samples parsed\n"
-                (List.length samples)
-          | Error e ->
-              Printf.eprintf "check FAILED: %s\n" e;
-              exit 1)
-      | `Json -> (
-          match Metrics.Export.parse_json data with
-          | Ok _ -> prerr_endline "check: JSON parsed"
-          | Error e ->
-              Printf.eprintf "check FAILED: %s\n" e;
-              exit 1)
-    end;
-    (match out with
-    | Some path ->
-        let oc = open_out path in
-        output_string oc data;
-        close_out oc
-    | None -> print_string data);
-    (match profile_out with
-    | Some path -> (
-        match Zion.Monitor.profiler mon with
-        | Some p ->
-            let oc = open_out path in
-            output_string oc (Metrics.Profile.folded p);
-            close_out oc;
-            Printf.eprintf "profile: %d samples -> %s\n"
-              (Metrics.Profile.samples p) path
-        | None -> prerr_endline "profile: no profiler data")
-    | None -> ());
-    match trace_out with
-    | Some path ->
-        let oc = open_out path in
-        output_string oc (Metrics.Trace.to_chrome (Zion.Monitor.trace mon));
-        close_out oc
-    | None -> ()
-  in
-  Cmd.v
-    (Cmd.info "export"
-       ~doc:
-         "Drive a traced+profiled Redis CVM and export the telemetry \
-          plane (Prometheus text or JSON), optionally with folded-stack \
-          profile and Chrome trace files")
-    Term.(
-      const run $ format $ out $ check $ profile_interval $ profile_out
-      $ trace_out $ requests_arg)
-
 (* ---------- costs ---------- *)
 
 let costs_cmd =
@@ -1174,6 +959,6 @@ let () =
        (Cmd.group (Cmd.info "zionctl" ~doc)
           [
             boot_cmd; attacks_cmd; audit_cmd; recover_cmd; fuzz_cmd;
-            migrate_cmd; trace_cmd; stats_cmd; top_cmd; io_cmd; channel_cmd;
-            export_cmd; costs_cmd;
+            migrate_cmd; telemetry_cmd; top_cmd; io_cmd; channel_cmd;
+            costs_cmd;
           ]))

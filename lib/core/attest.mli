@@ -62,8 +62,11 @@ val hmac_sha256 : key:string -> string -> string
 
 val constant_time_eq : string -> string -> bool
 (** Length check, then a full fixed-time scan — used for every MAC
-    comparison (report and seal-blob) so test-visible timing cannot
-    distinguish near-miss MACs. *)
+    comparison (report, seal and migration blobs, migration messages)
+    so test-visible timing cannot distinguish near-miss MACs. *)
+
+val pad16 : string -> string
+(** Zero-pad to a multiple of 16 bytes (the AES block). *)
 
 (* {2 Sealed storage}
 

@@ -87,5 +87,3 @@ let apply_cvm (hart : Hart.t) =
   csr.Csr.mideleg <- cvm_mideleg;
   csr.Csr.hedeleg <- cvm_hedeleg;
   csr.Csr.hideleg <- cvm_hideleg
-
-let csr_writes = 4

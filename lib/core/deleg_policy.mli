@@ -22,6 +22,3 @@ val cvm_hideleg : int64
 
 val apply_normal : Riscv.Hart.t -> unit
 val apply_cvm : Riscv.Hart.t -> unit
-
-val csr_writes : int
-(** Number of delegation CSRs rewritten per switch (cost accounting). *)

@@ -18,32 +18,10 @@ let enc_key =
 
 let mac_key = Attest.hmac_sha256 ~key:Attest.platform_key "migrate-mac"
 
-(* --- little-endian buffer helpers --- *)
+(* --- little-endian u32 fields, carried as unsigned ints --- *)
 
-let put_u32 b v =
-  for i = 0 to 3 do
-    Buffer.add_char b (Char.chr ((v lsr (8 * i)) land 0xff))
-  done
-
-let put_u64 b v =
-  for i = 0 to 7 do
-    Buffer.add_char b
-      (Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff))
-  done
-
-let get_u32 s off =
-  let v = ref 0 in
-  for i = 3 downto 0 do
-    v := (!v lsl 8) lor Char.code s.[off + i]
-  done;
-  !v
-
-let get_u64 s off =
-  let v = ref 0L in
-  for i = 7 downto 0 do
-    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code s.[off + i]))
-  done;
-  !v
+let put_u32 b v = Buffer.add_int32_le b (Int32.of_int v)
+let get_u32 s off = Int32.to_int (String.get_int32_le s off) land 0xFFFF_FFFF
 
 (* --- payload serialization --- *)
 
@@ -57,9 +35,9 @@ let serialize im =
          its own vCPU structures, never from host-supplied data. *)
       assert (Array.length v.vi_regs = 32);
       assert (Array.length v.vi_csrs = 8);
-      Array.iter (put_u64 b) v.vi_regs;
-      put_u64 b v.vi_pc;
-      Array.iter (put_u64 b) v.vi_csrs)
+      Array.iter (Buffer.add_int64_le b) v.vi_regs;
+      Buffer.add_int64_le b v.vi_pc;
+      Array.iter (Buffer.add_int64_le b) v.vi_csrs)
     im.im_vcpus;
   put_u32 b (String.length im.im_measurement);
   Buffer.add_string b im.im_measurement;
@@ -67,7 +45,7 @@ let serialize im =
   List.iter
     (fun (gpa, data) ->
       assert (String.length data = 4096);
-      put_u64 b gpa;
+      Buffer.add_int64_le b gpa;
       Buffer.add_string b data)
     im.im_pages;
   Buffer.contents b
@@ -93,7 +71,7 @@ let deserialize s =
   in
   let u64 () =
     need 8;
-    let v = get_u64 s !pos in
+    let v = String.get_int64_le s !pos in
     pos := !pos + 8;
     v
   in
@@ -127,10 +105,6 @@ let deserialize s =
 
 (* --- sealing --- *)
 
-let pad16 s =
-  let r = String.length s mod 16 in
-  if r = 0 then s else s ^ String.make (16 - r) '\x00'
-
 (* A purely plaintext-derived SIV is deterministic: two exports of an
    unchanged CVM would yield byte-identical blobs, letting the host
    correlate them (and detect that a guest made no progress between
@@ -152,7 +126,7 @@ let seal ~nonce im =
   let iv =
     String.sub (Attest.hmac_sha256 ~key:mac_key (nonce ^ payload)) 0 16
   in
-  let ct = Crypto.Aes.cbc_encrypt ~key:enc_key ~iv (pad16 payload) in
+  let ct = Crypto.Aes.cbc_encrypt ~key:enc_key ~iv (Attest.pad16 payload) in
   let b = Buffer.create (String.length ct + 80) in
   Buffer.add_string b magic;
   put_u32 b (String.length payload);
@@ -163,16 +137,6 @@ let seal ~nonce im =
      let the host append up to 15 padding bytes to the payload. *)
   Buffer.add_string b (Attest.hmac_sha256 ~key:mac_key (Buffer.contents b));
   Buffer.contents b
-
-let constant_time_eq a b =
-  String.length a = String.length b
-  && begin
-       let acc = ref 0 in
-       String.iteri
-         (fun i c -> acc := !acc lor (Char.code c lxor Char.code b.[i]))
-         a;
-       !acc = 0
-     end
 
 let unseal blob =
   let hdr = 5 + 4 + nonce_len + 16 in
@@ -187,7 +151,8 @@ let unseal blob =
       let ct = String.sub blob hdr ct_len in
       let tag = String.sub blob (hdr + ct_len) 32 in
       let body = String.sub blob 0 (hdr + ct_len) in
-      if not (constant_time_eq tag (Attest.hmac_sha256 ~key:mac_key body)) then
+      if not (Attest.constant_time_eq tag (Attest.hmac_sha256 ~key:mac_key body))
+      then
         Error "migration blob failed authentication"
       else begin
         let padded = Crypto.Aes.cbc_decrypt ~key:enc_key ~iv ct in

@@ -45,17 +45,8 @@ let max_reason = 256
 let session_key session =
   Attest.hmac_sha256 ~key:Attest.platform_key ("migproto:" ^ session)
 
-let put_u32 b v =
-  for i = 0 to 3 do
-    Buffer.add_char b (Char.chr ((v lsr (8 * i)) land 0xff))
-  done
-
-let get_u32 s off =
-  let v = ref 0 in
-  for i = 3 downto 0 do
-    v := (!v lsl 8) lor Char.code s.[off + i]
-  done;
-  !v
+let put_u32 b v = Buffer.add_int32_le b (Int32.of_int v)
+let get_u32 s off = Int32.to_int (String.get_int32_le s off) land 0xFFFF_FFFF
 
 let kind_of_payload = function
   | Offer _ -> 0
@@ -164,12 +155,7 @@ let decode msg =
     let expect =
       String.sub (Attest.hmac_sha256 ~key:(session_key session) body) 0 mac_len
     in
-    (* constant-time compare, same discipline as Migrate.unseal *)
-    let acc = ref 0 in
-    String.iteri
-      (fun i c -> acc := !acc lor (Char.code c lxor Char.code expect.[i]))
-      mac;
-    if !acc <> 0 then fail "bad mac";
+    if not (Attest.constant_time_eq mac expect) then fail "bad mac";
     let payload =
       match kind with
       | 0 ->

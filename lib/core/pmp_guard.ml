@@ -141,7 +141,6 @@ let reset t =
   Hashtbl.reset t.hart_epoch;
   Hashtbl.reset t.hart_world
 
-let regions_programmed t = List.length t.programmed
 let sync_count t = t.syncs
 let world_toggle_count t = t.world_toggles
 let sync_skip_count t = t.sync_skips

@@ -60,8 +60,6 @@ val reset : t -> unit
     reboot undid; the next [sync_hart]/[guard_iopmp] reprograms
     everything. *)
 
-val regions_programmed : t -> int
-
 val sync_count : t -> int
 (** Full PMP reprogramming passes since creation (performed only). *)
 

@@ -169,6 +169,81 @@ let ring_alias_private_page kvm =
             Blocked "ring alias: IOPMP denied the DMA; host reject counted"
         | Ok _ -> Leaked "ring alias: exitless I/O enabled over a CVM's page")
 
+(* ---------- the host-attack suite ---------- *)
+
+(* A fresh CVM run until it stops at an MMIO read, so that a reply is
+   pending. Write exits on the way are acknowledged through the shared
+   vCPU and shared-region faults get a fresh page. *)
+let park_at_mmio_read kvm =
+  let mon = Kvm.monitor kvm and entry = 0x10000L in
+  let prog =
+    Guest.Gprog.blk_read_first_byte ~sector:0 ~len:16 @ Guest.Gprog.shutdown
+  in
+  match
+    Kvm.create_cvm_guest kvm ~entry_pc:entry
+      ~image:[ (entry, Asm.program prog) ]
+  with
+  | Error e -> invalid_arg ("park setup: " ^ e)
+  | Ok h ->
+      let id = Kvm.cvm_id h in
+      let rec park n =
+        if n > 50 then invalid_arg "park setup: never reached the MMIO read";
+        match
+          Zion.Monitor.run_vcpu mon ~hart:0 ~cvm:id ~vcpu:0 ~max_steps:100_000
+        with
+        | Ok (Zion.Monitor.Exit_mmio m) when not m.Zion.Vcpu.mmio_write -> h
+        | Ok (Zion.Monitor.Exit_mmio _) ->
+            Option.iter
+              (fun sh ->
+                sh.Zion.Vcpu.s_pc_advance <- 4L;
+                sh.Zion.Vcpu.s_data <- 0L)
+              (Zion.Monitor.shared_vcpu_of mon ~cvm:id ~vcpu:0);
+            park (n + 1)
+        | Ok (Zion.Monitor.Exit_shared_fault gpa) -> (
+            match
+              Shared_map.map_fresh (Kvm.cvm_shared_map h)
+                ~gpa:(Xword.align_down gpa 4096L)
+            with
+            | Ok _ -> park (n + 1)
+            | Error e -> invalid_arg ("park setup: " ^ e))
+        | Ok _ -> park (n + 1)
+        | Error e -> invalid_arg ("park setup: " ^ Zion.Ecall.error_to_string e)
+      in
+      park 0
+
+let host_suite kvm =
+  let machine = Kvm.machine kvm and mon = Kvm.monitor kvm in
+  let pool_pa =
+    match Zion.Secmem.regions (Zion.Monitor.secmem mon) with
+    | (base, _) :: _ -> base
+    | [] -> invalid_arg "host suite setup: no pool"
+  in
+  let parked = lazy (park_at_mmio_read kvm) in
+  let parked_id () = Kvm.cvm_id (Lazy.force parked) in
+  (* In this order: the vCPU vectors share the parked guest. *)
+  List.map
+    (fun (name, attack) -> (name, attack ()))
+    [
+      ( "HS-mode load from the pool",
+        fun () -> read_secure_memory machine ~pool_pa );
+      ( "HS-mode store into the pool",
+        fun () -> write_secure_memory machine ~pool_pa );
+      ("device DMA into the pool", fun () -> dma_into_pool machine ~pool_pa);
+      ( "redirect MMIO reply register (TOCTOU)",
+        fun () -> tamper_mmio_reply_register mon ~cvm:(parked_id ()) );
+      ( "steal a guest register via GET_REG",
+        fun () -> steal_vcpu_state mon ~cvm:(parked_id ()) );
+      ( "map a secure page into the shared subtree",
+        fun () ->
+          map_foreign_secure_page mon
+            (Kvm.cvm_shared_map (Lazy.force parked))
+            ~victim_page:pool_pa ~gpa:(Sw.slot_gpa 10) );
+      ("blk read into a pool page", fun () -> blk_read_into_pool kvm);
+      ("net RX fill into a pool page", fun () -> net_rx_into_pool kvm);
+      ( "exitless ring over another CVM's page",
+        fun () -> ring_alias_private_page kvm );
+    ]
+
 (* ---------- hostile-ring attacks (exitless I/O) ---------- *)
 
 (* The ring poke path is exactly the Byzantine host's power: any byte
@@ -402,16 +477,6 @@ let chan_map_ring kvm ha hb =
              The SM's entry sweep must refuse and quarantine A; the
              quarantine implicitly revokes the channel. *)
           let mon = Kvm.monitor kvm in
-          if
-            not
-              (Zion.Monitor.config mon).Zion.Monitor.validate_shared_on_entry
-          then begin
-            ignore (Zion.Monitor.chan_revoke mon ~chan ~cvm:(Kvm.cvm_id ha));
-            Blocked
-              "PMP blocks CPU access to the aliased ring (entry validation \
-               off; enable validate_shared_on_entry for the quarantine path)"
-          end
-          else begin
           Shared_map.map_secure_page_for_attack (Kvm.cvm_shared_map ha)
             ~gpa:Zion.Layout.shared_gpa_base ~pa;
           ignore
@@ -435,8 +500,7 @@ let chan_map_ring kvm ha hb =
                 | _ ->
                     Blocked
                       "SM entry validation quarantined the aliasing CVM; \
-                       channel swept")
-          end))
+                       channel swept")))
 
 let chan_accept_stale_epoch kvm ha hb =
   let mon = Kvm.monitor kvm in
@@ -505,13 +569,6 @@ let chan_quarantined_peer kvm ha hb =
          live: the implicit revoke must tear the ring out of *both*
          halves, and B must keep running. *)
       let mon = Kvm.monitor kvm in
-      if not (Zion.Monitor.config mon).Zion.Monitor.validate_shared_on_entry
-      then begin
-        ignore (Zion.Monitor.chan_revoke mon ~chan ~cvm:(Kvm.cvm_id ha));
-        Blocked
-          "quarantine route needs validate_shared_on_entry; channel revoked"
-      end
-      else
       let pool_base, _ = List.hd (Zion.Secmem.regions (Zion.Monitor.secmem mon)) in
       Shared_map.map_secure_page_for_attack (Kvm.cvm_shared_map ha)
         ~gpa:Zion.Layout.shared_gpa_base ~pa:pool_base;

@@ -59,6 +59,17 @@ val ring_alias_private_page : Kvm.t -> outcome
     [Invalid_argument] when its two CVMs cannot be set up. Not one of
     {!ring_vectors}: it needs no live ring. *)
 
+(** {2 The host-attack suite} *)
+
+val host_suite : Kvm.t -> (string * outcome) list
+(** Every malicious-hypervisor move above, run in order on [kvm] with
+    the guests each one needs, by name: CPU and DMA access to the pool,
+    the shared-vCPU tampering and register theft (against a CVM parked
+    at an MMIO read with a reply pending), the shared-subtree alias,
+    and the three device-DMA vectors. Both [zionctl attacks] and
+    [examples/attack_surface] print this list. Raises
+    [Invalid_argument] when a vector's guests cannot be set up. *)
+
 (** {2 Hostile-ring attacks}
 
     Ring-poison vectors against the exitless virtio ring: each arms a
@@ -112,7 +123,9 @@ val chan_poison_seq : Kvm.t -> Kvm.cvm_handle -> Kvm.cvm_handle -> outcome
 val chan_map_ring : Kvm.t -> Kvm.cvm_handle -> Kvm.cvm_handle -> outcome
 (** Alias the live channel ring into an endpoint's shared (host-
     writable) subtree; the SM entry sweep must quarantine the aliasing
-    CVM and the quarantine must sweep the channel. *)
+    CVM and the quarantine must sweep the channel. Needs a monitor with
+    [validate_shared_on_entry]: without the sweep the alias is accepted
+    and the vector reports [Leaked]. *)
 
 val chan_accept_stale_epoch :
   Kvm.t -> Kvm.cvm_handle -> Kvm.cvm_handle -> outcome
@@ -126,9 +139,10 @@ val chan_peer_destroyed_mid_accept :
 
 val chan_quarantined_peer :
   Kvm.t -> Kvm.cvm_handle -> Kvm.cvm_handle -> outcome
-(** Quarantine one endpoint of an Established channel; the implicit
-    revoke must scrub and unmap both halves while the other endpoint
-    keeps running. *)
+(** Quarantine one endpoint of an Established channel (through the
+    entry sweep, as {!chan_map_ring}, so it needs the same config); the
+    implicit revoke must scrub and unmap both halves while the other
+    endpoint keeps running. *)
 
 val chan_vectors :
   (string * (Kvm.t -> Kvm.cvm_handle -> Kvm.cvm_handle -> outcome)) list

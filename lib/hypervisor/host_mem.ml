@@ -82,38 +82,6 @@ let free_pages t b n =
     invalid_arg "Host_mem.free_pages: double free";
   t.free <- normalize (insert_run t.free (b, n))
 
-let reserve t ~base ~size =
-  if Int64.rem base page <> 0L || Int64.rem size page <> 0L || size <= 0L
-  then false
-  else begin
-    let n = Int64.to_int (Int64.div size page) in
-    let target = (base, n) in
-    let rec carve acc = function
-      | [] -> None
-      | ((b, cnt) as r) :: rest ->
-          if
-            (not (Riscv.Xword.ult base b))
-            && not (Riscv.Xword.ult (run_end r) (run_end target))
-          then begin
-            let before_cnt =
-              Int64.to_int (Int64.div (Int64.sub base b) page)
-            in
-            let before = if before_cnt > 0 then [ (b, before_cnt) ] else [] in
-            let after_cnt = cnt - before_cnt - n in
-            let after =
-              if after_cnt > 0 then [ (run_end target, after_cnt) ] else []
-            in
-            Some (List.rev_append acc (before @ after @ rest))
-          end
-          else carve (r :: acc) rest
-    in
-    match carve [] t.free with
-    | Some free ->
-        t.free <- free;
-        true
-    | None -> false
-  end
-
 let free_bytes t =
   List.fold_left
     (fun acc (_, n) -> Int64.add acc (Int64.mul (Int64.of_int n) page))

@@ -19,9 +19,5 @@ val free_pages : t -> int64 -> int -> unit
 (** Return pages to the allocator. Raises [Invalid_argument] on a
     double free or on pages outside the managed range. *)
 
-val reserve : t -> base:int64 -> size:int64 -> bool
-(** Carve a specific range out of the free space (e.g. the secure pool
-    at boot); [false] if any page of it was not free. *)
-
 val free_bytes : t -> int64
 val total_bytes : t -> int64

@@ -539,6 +539,7 @@ let enable_exitless_io t h =
         let ctx =
           Virtio_ring.make_ctx ~bus:t.machine.Machine.bus
             ~translate:(fun gpa -> Shared_map.lookup h.shared ~gpa)
+            ~secure:(Zion.Secmem.contains (Zion.Monitor.secmem t.monitor))
             ~registry:(Zion.Monitor.registry t.monitor)
             ~cvm:h.cid ~cost:t.cost
             ~charge:(fun cat cycles -> charge t cat cycles)

@@ -30,14 +30,15 @@ let qsize = Sw.ring_entries
 type ctx = {
   bus : Bus.t;
   translate : int64 -> int64 option;
+  secure : int64 -> bool;
   registry : Metrics.Registry.t;
   cvm : int;
   cost : Cost.t;
   charge : string -> int -> unit;
 }
 
-let make_ctx ~bus ~translate ~registry ~cvm ~cost ~charge =
-  { bus; translate; registry; cvm; cost; charge }
+let make_ctx ~bus ~translate ~secure ~registry ~cvm ~cost ~charge =
+  { bus; translate; secure; registry; cvm; cost; charge }
 
 let inc ctx name =
   Metrics.Registry.inc ctx.registry ~scope:(Metrics.Registry.Cvm ctx.cvm) name
@@ -48,10 +49,12 @@ let inc_by ctx name by =
     ~by name
 
 (* Raw field access at a byte offset within the ring page. The guest's
-   driver makes CPU loads and stores. The host's polling device, and so
-   every attack vector that plays the host, makes DMA from [sid]: a ring
-   GPA that the host pointed into the secure pool is refused by the
-   IOPMP, never read or written. *)
+   driver makes CPU loads and stores through its shared subtree, and
+   refuses a page inside the secure pool as the hardened entry sweep
+   refuses such a leaf. The host's polling device, and so every attack
+   vector that plays the host, makes DMA from [sid]: a ring GPA that the
+   host pointed into the secure pool is refused by the IOPMP, never read
+   or written. *)
 let sid = 5
 
 let ring_pa ~translate ~off =
@@ -77,11 +80,13 @@ let peek ~bus ~translate ~off ~width =
 let poke ~bus ~translate ~off ~width v =
   write_at bus width v (dma_pa ~bus ~translate Iopmp.Write ~off ~width)
 
-let cpu_peek ctx ~off ~width =
-  read_at ctx.bus width (ring_pa ~translate:ctx.translate ~off)
+let guest_pa ctx ~off =
+  match ring_pa ~translate:ctx.translate ~off with
+  | Some pa when not (ctx.secure pa) -> Some pa
+  | _ -> None
 
-let cpu_poke ctx ~off ~width v =
-  write_at ctx.bus width v (ring_pa ~translate:ctx.translate ~off)
+let cpu_peek ctx ~off ~width = read_at ctx.bus width (guest_pa ctx ~off)
+let cpu_poke ctx ~off ~width v = write_at ctx.bus width v (guest_pa ctx ~off)
 
 (* One posted descriptor, as the guest remembers it. *)
 type shadow = {

@@ -25,10 +25,12 @@
       MMIO kicks, and publishes the used index once per batch —
       doorbell coalescing.
 
-    The guest view reaches the ring page with CPU loads and stores. The
-    host view reaches it only as DMA from {!sid}, so the IOPMP refuses
-    a ring GPA that the host pointed into the secure pool: the host
-    cannot zero, read or write another CVM's page through the ring. *)
+    The guest view reaches the ring page with CPU loads and stores, and
+    refuses a page inside the secure pool, as the hardened entry sweep
+    refuses a shared leaf that points there. The host view reaches it
+    only as DMA from {!sid}, so the IOPMP refuses a ring GPA that the
+    host pointed into the secure pool. Either way, a host that re-aims
+    the ring cannot zero, read or write another CVM's page through it. *)
 
 type verdict =
   | V_ok
@@ -56,11 +58,13 @@ val sid : int
 
 type ctx
 (** Shared access context: bus, GPA→PA translation for the ring page,
-    the metrics registry scope and the cycle-charging hook. *)
+    the secure pool's membership test, the metrics registry scope and
+    the cycle-charging hook. *)
 
 val make_ctx :
   bus:Riscv.Bus.t ->
   translate:(int64 -> int64 option) ->
+  secure:(int64 -> bool) ->
   registry:Metrics.Registry.t ->
   cvm:int ->
   cost:Riscv.Cost.t ->
@@ -88,15 +92,19 @@ val submit :
   (int, Zion.Sm_error.t) result
 (** Publish one descriptor and its avail entry without ringing any
     doorbell. Returns the descriptor id. [Error Bad_state] once the
-    ring has fallen back, [Error No_memory] when the queue is full.
-    [slot], when given, is a bounce-slot index from {!guest_pool}
+    ring has fallen back, [Error No_memory] when the queue is full,
+    [Error Invalid_address] when the ring page does not translate or
+    lies in the secure pool (nothing is written then). [slot], when
+    given, is a bounce-slot index from {!guest_pool}
     released automatically on completion or fallback. *)
 
 val consume : guest -> int * verdict
 (** Poll the used ring once, Check-after-Load-validating every
     host-writable field. Returns completions retired this poll and the
     verdict; any verdict other than [V_ok] consumed nothing and
-    recorded a strike (or degraded the ring). *)
+    recorded a strike (or degraded the ring). A ring page that does not
+    translate or lies in the secure pool is read as a stall: the ring
+    falls back at once. *)
 
 val guest_mode : guest -> mode
 val outstanding : guest -> int

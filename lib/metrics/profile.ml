@@ -14,7 +14,9 @@ type t = {
   mutable total : int;
 }
 
-let create ?(interval = 64) ~nharts () =
+let default_interval = 64
+
+let create ?(interval = default_interval) ~nharts () =
   if interval <= 0 then invalid_arg "Profile.create: non-positive interval";
   if nharts <= 0 then invalid_arg "Profile.create: non-positive nharts";
   {

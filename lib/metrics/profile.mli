@@ -20,9 +20,11 @@
 
 type t
 
+val default_interval : int
+(** 64 retired instructions per sample. *)
+
 val create : ?interval:int -> nharts:int -> unit -> t
-(** [interval] defaults to 64 retired instructions per sample and
-    must be positive. *)
+(** [interval] defaults to {!default_interval} and must be positive. *)
 
 val interval : t -> int
 

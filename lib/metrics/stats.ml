@@ -1,14 +1,3 @@
-type summary = {
-  n : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  max : float;
-  p50 : float;
-  p95 : float;
-  p99 : float;
-}
-
 let mean xs =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Stats.mean: empty sample";
@@ -51,22 +40,6 @@ let interleaved_pairs ~pairs run =
   done;
   (off, on)
 
-let summarize xs =
-  let n = Array.length xs in
-  if n = 0 then invalid_arg "Stats.summarize: empty sample";
-  {
-    n;
-    mean = mean xs;
-    stddev = stddev xs;
-    min = Array.fold_left min xs.(0) xs;
-    max = Array.fold_left max xs.(0) xs;
-    p50 = percentile 50. xs;
-    p95 = percentile 95. xs;
-    p99 = percentile 99. xs;
-  }
-
-let of_ints xs = Array.map float_of_int xs
-
 let geomean xs =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Stats.geomean: empty sample";
@@ -82,8 +55,3 @@ let geomean xs =
 let pct_change ~baseline v =
   if baseline = 0. then invalid_arg "Stats.pct_change: zero baseline";
   (v -. baseline) /. baseline *. 100.
-
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "n=%d mean=%.1f sd=%.1f min=%.1f p50=%.1f p95=%.1f p99=%.1f max=%.1f" s.n
-    s.mean s.stddev s.min s.p50 s.p95 s.p99 s.max

@@ -3,17 +3,6 @@
     Used by the benchmark harness to summarise repeated measurements
     (switch latencies, fault-handling times, throughput rounds). *)
 
-type summary = {
-  n : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  max : float;
-  p50 : float;
-  p95 : float;
-  p99 : float;
-}
-
 val mean : float array -> float
 (** Arithmetic mean. Raises [Invalid_argument] on an empty array. *)
 
@@ -34,17 +23,9 @@ val interleaved_pairs :
     burst that slows one run is dropped, and the symmetric order cancels
     drift within the pair. Returns the per-pair times [(off, on)]. *)
 
-val summarize : float array -> summary
-(** Full summary of a non-empty sample. *)
-
-val of_ints : int array -> float array
-(** Convenience conversion for cycle counts. *)
-
 val geomean : float array -> float
 (** Geometric mean of strictly positive samples. *)
 
 val pct_change : baseline:float -> float -> float
 (** [pct_change ~baseline v] is the signed percent change of [v]
     relative to [baseline], e.g. [+2.59] for a 2.59 % slowdown. *)
-
-val pp_summary : Format.formatter -> summary -> unit

@@ -49,6 +49,8 @@ let print ?align ~header rows = print_string (render ?align ~header rows)
 let fixed d x = Printf.sprintf "%.*f" d x
 let signed_pct x = Printf.sprintf "%+.2f" x
 
-let section title =
+let heading title =
   let bar = String.make (String.length title + 8) '=' in
-  Printf.printf "\n%s\n=== %s ===\n%s\n" bar title bar
+  Printf.sprintf "\n%s\n=== %s ===\n%s\n" bar title bar
+
+let section title = print_string (heading title)

@@ -25,5 +25,8 @@ val fixed : int -> float -> string
 val signed_pct : float -> string
 (** Formats a percent change as the paper does, e.g. ["+2.59"]. *)
 
+val heading : string -> string
+(** A prominent section banner (used per experiment). *)
+
 val section : string -> unit
-(** Print a prominent section banner (used per experiment). *)
+(** [heading] followed by [print_string]. *)

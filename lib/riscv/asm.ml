@@ -255,8 +255,6 @@ let a5 = 15
 let a6 = 16
 let a7 = 17
 
-let nop = Op_imm (Add, 0, 0, 0L)
-let mv rd rs = Op_imm (Add, rd, rs, 0L)
 let j offset = Jal (0, offset)
 let ret = Jalr (0, ra, 0L)
 

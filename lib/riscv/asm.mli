@@ -39,8 +39,6 @@ val a7 : int
 val li : int -> int64 -> Decode.t list
 (** Load a (possibly wide) immediate using lui/addi/slli sequences. *)
 
-val nop : Decode.t
-val mv : int -> int -> Decode.t
 val j : int64 -> Decode.t
 (** Unconditional relative jump. *)
 

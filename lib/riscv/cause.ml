@@ -97,26 +97,6 @@ let exception_of_code = function
   | 23 -> Some Store_guest_page_fault
   | _ -> None
 
-let interrupt_of_code = function
-  | 1 -> Some Supervisor_software
-  | 2 -> Some Virtual_supervisor_software
-  | 3 -> Some Machine_software
-  | 5 -> Some Supervisor_timer
-  | 6 -> Some Virtual_supervisor_timer
-  | 7 -> Some Machine_timer
-  | 9 -> Some Supervisor_external
-  | 10 -> Some Virtual_supervisor_external
-  | 11 -> Some Machine_external
-  | 12 -> Some Supervisor_guest_external
-  | _ -> None
-
-let is_guest_page_fault = function
-  | Exception
-      (Instr_guest_page_fault | Load_guest_page_fault | Store_guest_page_fault)
-    ->
-      true
-  | Exception _ | Interrupt _ -> false
-
 let exception_to_string = function
   | Instr_addr_misaligned -> "instruction address misaligned"
   | Instr_access_fault -> "instruction access fault"

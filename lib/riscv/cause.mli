@@ -50,10 +50,6 @@ val to_xcause : t -> int64
     for interrupts. *)
 
 val exception_of_code : int -> exception_t option
-val interrupt_of_code : int -> interrupt_t option
-
-val is_guest_page_fault : t -> bool
-(** True for the three guest-page-fault exception causes. *)
 
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

@@ -44,11 +44,6 @@ let msip t h =
   check_hart t h;
   t.sip.(h)
 
-let set_msip t h v =
-  check_hart t h;
-  t.sip.(h) <- v;
-  t.gen <- t.gen + 1
-
 let timer_pending t h =
   check_hart t h;
   not (Xword.ult t.time t.timecmp.(h))

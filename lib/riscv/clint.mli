@@ -17,14 +17,13 @@ val set_mtime : t -> int64 -> unit
 val mtimecmp : t -> int -> int64
 val set_mtimecmp : t -> int -> int64 -> unit
 val msip : t -> int -> bool
-val set_msip : t -> int -> bool -> unit
 
 val timer_pending : t -> int -> bool
 (** [mtime >= mtimecmp hart] — drives [mip.MTIP]. *)
 
 val generation : t -> int
-(** Configuration generation: bumped on every [set_mtimecmp]/[set_msip]
-    and every MMIO [write] (including a direct [mtime] write), but not
+(** Configuration generation: bumped on every [set_mtimecmp] and
+    every MMIO [write] (including a direct [mtime] write), but not
     by the per-step [set_mtime] clock sync. The interpreter's
     timer-poll fast path memoises the next mtime at which the pending
     state can change and revalidates only when this counter moves. *)

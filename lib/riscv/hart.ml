@@ -69,7 +69,6 @@ let dcache_ways = 64
 let dcache_slots = 4096 / 4
 let word_table_bits = 11
 let word_table_size = 1 lsl word_table_bits
-let fast_path_default = ref true
 
 let fresh_amemo () =
   {
@@ -88,7 +87,7 @@ let fresh_amemo () =
 
 let fresh_fastpath () =
   {
-    fp_enabled = !fast_path_default;
+    fp_enabled = true;
     fm = fresh_amemo ();
     lm = fresh_amemo ();
     sm = fresh_amemo ();

@@ -97,18 +97,15 @@ type t = {
 
 val create :
   ?cost:Cost.t -> ?ledger:Metrics.Ledger.t -> id:int -> Bus.t -> t
-(** A hart in M mode at pc 0 with a fresh CSR file. The fast path
-    starts in the state of [fast_path_default]. *)
-
-val fast_path_default : bool ref
-(** Initial fast-path setting for newly created harts (default [true]).
-    The cached interpreter is architecturally invisible; the switch
-    exists for A/B benchmarking and differential testing. *)
+(** A hart in M mode at pc 0 with a fresh CSR file and the fast path
+    enabled. *)
 
 val fast_path_enabled : t -> bool
 
 val set_fast_path : t -> bool -> unit
-(** Enable/disable the fast path; disabling also drops all memos. *)
+(** Enable/disable the fast path; disabling also drops all memos. The
+    cached interpreter is architecturally invisible; the switch exists
+    for A/B benchmarking and differential testing. *)
 
 val invalidate_fast_path : t -> unit
 (** Drop the translation memos, the decoded pages and the CLINT poll

@@ -12,16 +12,6 @@ let of_level ~virt lvl =
   | true, 0 -> VU
   | _ -> invalid_arg "Priv.of_level: invalid privilege encoding"
 
-let rank = function M -> 4 | HS -> 3 | VS -> 2 | U -> 1 | VU -> 0
-
-let can_access cur required =
-  match (cur, required) with
-  | _, _ when cur = required -> true
-  | M, _ -> true
-  | HS, (VS | VU | U) -> true
-  | VS, VU -> true
-  | _ -> rank cur >= rank required && virtualized cur = virtualized required
-
 let to_string = function
   | M -> "M"
   | HS -> "HS"

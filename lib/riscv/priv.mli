@@ -20,9 +20,5 @@ val of_level : virt:bool -> int -> t
 (** Inverse of [level] given the virtualisation bit.
     Raises [Invalid_argument] on an invalid encoding (e.g. V=1, level 3). *)
 
-val can_access : t -> t -> bool
-(** [can_access cur required] — is [cur] at least as privileged as
-    [required]? (M > HS > U; M > VS > VU; HS dominates VS/VU.) *)
-
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

@@ -408,6 +408,40 @@ let attack_tests =
     attack_case "seq runaway degrades within budget"
       Hypervisor.Attacks.chan_poison_seq;
     attack_case "host alias of the live ring" Hypervisor.Attacks.chan_map_ring;
+    (* Control for the two alias vectors: the same leaf aimed at normal
+       memory passes the hardened entry sweep. *)
+    Alcotest.test_case "hardened entry accepts a shared alias of normal memory"
+      `Quick (fun () ->
+        let _machine, mon, kvm = make_stack ~config:strict_config () in
+        let ha = make_guest kvm (Guest.Gprog.hello "a") in
+        let hb = make_guest kvm (Guest.Gprog.hello "b") in
+        let chan = connect kvm ha hb in
+        let shared = Kvm.cvm_shared_map ha in
+        let normal =
+          match
+            Hypervisor.Shared_map.lookup shared
+              ~gpa:(Guest.Swiotlb.slot_gpa 5)
+          with
+          | Some pa -> pa
+          | None -> Alcotest.fail "bounce slot unmapped"
+        in
+        (* Move the page rather than alias it twice, which the audit
+           would flag. *)
+        Hypervisor.Shared_map.unmap shared ~gpa:(Guest.Swiotlb.slot_gpa 5);
+        Hypervisor.Shared_map.map_secure_page_for_attack shared
+          ~gpa:Zion.Layout.shared_gpa_base ~pa:normal;
+        (match
+           Zion.Monitor.run_vcpu mon ~hart:0 ~cvm:(Kvm.cvm_id ha) ~vcpu:0
+             ~max_steps:100
+         with
+        | Ok _ -> ()
+        | Error e -> fail_err "entry" e);
+        Alcotest.(check bool) "not quarantined" true
+          (Zion.Monitor.cvm_state mon ~cvm:(Kvm.cvm_id ha)
+          <> Some Zion.Cvm.Quarantined);
+        Alcotest.(check string) "channel live" "established"
+          (info mon chan).Zion.Monitor.ci_phase;
+        check_audit_clean mon "normal alias");
     attack_case "stale-epoch accept refused"
       Hypervisor.Attacks.chan_accept_stale_epoch;
     attack_case "grantor destroyed mid-accept"

@@ -612,6 +612,64 @@ let attack_tests =
         Alcotest.(check bool) "no ring bound" false
           (Kvm.exitless_active kvm a || Kvm.exitless_active kvm b);
         check_audit_clean monitor "after both disables");
+    Alcotest.test_case
+      "the guest view refuses a live ring re-aimed at secure memory" `Quick
+      (fun () ->
+        let machine, monitor, kvm = make_stack () in
+        let bus = machine.Machine.bus in
+        let page pa = Bus.read_bytes bus pa 4096 in
+        let shared h = Kvm.cvm_shared_map h in
+        let submit g =
+          Ring.submit g ~op:Sw.op_blk_write ~len:64 ~data_gpa:(Sw.slot_gpa 10)
+            ~meta:1L ()
+        in
+        let a = make_guest kvm (Guest.Gprog.hello "a") in
+        let b = make_guest kvm (Guest.Gprog.hello "b") in
+        (* A free pool block no guest owns yet, holding a marker. *)
+        let victim =
+          match
+            List.rev (Zion.Secmem.free_list_bases (Zion.Monitor.secmem monitor))
+          with
+          | base :: _ -> base
+          | [] -> Alcotest.fail "no free secure block"
+        in
+        let marker = String.make 4096 'M' in
+        Bus.write_bytes bus victim marker;
+        (* CVM A's ring is live; the host re-aims its leaf at the secure
+           page. The guest's next submit and consume must not touch it. *)
+        let ga = enable kvm a in
+        Hypervisor.Shared_map.map_secure_page_for_attack (shared a)
+          ~gpa:Sw.ring_gpa ~pa:victim;
+        (match submit ga with
+        | Ok _ -> Alcotest.fail "submitted into secure memory"
+        | Error _ -> ());
+        Alcotest.(check string) "consume stalls" "stall"
+          (Ring.verdict_to_string (snd (Ring.consume ga)));
+        Alcotest.(check bool) "fell back" true
+          (Ring.guest_mode ga = Ring.Fallen_back);
+        Alcotest.(check bool) "marker intact" true (page victim = marker);
+        (* Control: the same re-aim at a normal page still submits, and
+           the descriptor lands there. *)
+        let gb = enable kvm b in
+        let normal =
+          match
+            Hypervisor.Shared_map.lookup (shared b) ~gpa:(Sw.slot_gpa 5)
+          with
+          | Some pa -> pa
+          | None -> Alcotest.fail "bounce slot unmapped"
+        in
+        Hypervisor.Shared_map.map_secure_page_for_attack (shared b)
+          ~gpa:Sw.ring_gpa ~pa:normal;
+        match submit gb with
+        | Error e -> Alcotest.fail (Zion.Sm_error.to_string e)
+        | Ok id ->
+            Alcotest.(check int64) "descriptor on the normal page"
+              (Sw.slot_gpa 10)
+              (Bus.read bus
+                 (Int64.add normal (Int64.of_int (Sw.ring_desc_off id)))
+                 8);
+            Alcotest.(check bool) "still exitless" true
+              (Ring.guest_mode gb = Ring.Exitless));
   ]
 
 (* ---------- health / counters surfacing ---------- *)

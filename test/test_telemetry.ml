@@ -786,6 +786,32 @@ let e2e_tests =
             Alcotest.(check bool) "request p99 populated" true
               (t.Zion.Monitor.th_request_p99 > 0.)
         | [] -> Alcotest.fail "no tenants in snapshot");
+    Alcotest.test_case "every traced workload exports one JSON schema" `Quick
+      (fun () ->
+        List.iter
+          (fun (name, w) ->
+            let r = Platform.Telemetry.run ~n:4 w in
+            Alcotest.(check bool) (name ^ ": shut down") true
+              (r.Platform.Telemetry.outcome = Hypervisor.Kvm.C_shutdown);
+            let j =
+              match
+                Metrics.Export.parse_json
+                  (Platform.Telemetry.render Platform.Telemetry.Json r)
+              with
+              | Ok j -> j
+              | Error e -> Alcotest.failf "%s: unparsable JSON: %s" name e
+            in
+            List.iter
+              (fun k ->
+                Alcotest.(check bool) (name ^ ": " ^ k) true
+                  (Metrics.Export.member k j <> None))
+              [ "counters"; "histograms"; "trace"; "ledger" ];
+            let redis = w = Platform.Telemetry.Redis in
+            Alcotest.(check bool) (name ^ ": run member") redis
+              (Metrics.Export.member "run" j <> None);
+            Alcotest.(check bool) (name ^ ": folded profile") redis
+              (Platform.Telemetry.render Platform.Telemetry.Folded r <> ""))
+          Platform.Telemetry.workloads);
   ]
 
 let suite =
