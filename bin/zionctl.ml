@@ -423,12 +423,6 @@ let migrate_cmd =
           ~doc:"Channel fault-schedule seed. Same seed, same build — same \
                 delivery schedule.")
   in
-  let chunk =
-    Arg.(
-      value & opt int 1024
-      & info [ "chunk" ] ~docv:"BYTES"
-          ~doc:"Chunk size the sealed image is streamed in.")
-  in
   let crash_at =
     Arg.(
       value & opt (some int) None
@@ -454,7 +448,7 @@ let migrate_cmd =
     let rec go i = i + m <= n && (String.sub line i m = sub || go (i + 1)) in
     m = 0 || go 0
   in
-  let run loss dup reorder corrupt seed chunk crash_at crash_side =
+  let run loss dup reorder corrupt seed crash_at crash_side =
     (* Source host: boot a guest, park it mid-loop. *)
     let tb_a = Platform.Testbed.create () in
     let src = tb_a.Platform.Testbed.monitor in
@@ -493,12 +487,8 @@ let migrate_cmd =
         (fun at -> { Hypervisor.Migrator.at; side = crash_side })
         crash_at
     in
-    let config =
-      { Zion.Migrate_proto.default_config with chunk_size = chunk }
-    in
     match
-      Hypervisor.Migrator.run ~config ~faults ~seed ?crash ~src ~dst ~cvm:id
-        ~session ()
+      Hypervisor.Migrator.run ~faults ~seed ?crash ~src ~dst ~cvm:id ~session ()
     with
     | Error msg ->
         Printf.eprintf "migration failed to terminate: %s\n" msg;
@@ -546,8 +536,7 @@ let migrate_cmd =
          "Migrate a live CVM between two hosts over a lossy channel with \
           the crash-safe chunked protocol")
     Term.(
-      const run $ loss $ dup $ reorder $ corrupt $ seed $ chunk $ crash_at
-      $ crash_side)
+      const run $ loss $ dup $ reorder $ corrupt $ seed $ crash_at $ crash_side)
 
 (* ---------- telemetry ---------- *)
 

@@ -101,59 +101,108 @@ let report_to_bytes r =
     ~nonce:r.nonce
   ^ r.mac
 
-(* ---------- sealed storage ---------- *)
+(* ---------- the sealing envelope ---------- *)
 
-let seal_magic = "ZSEAL"
-
-let seal_keys ~measurement =
-  let base = hmac_sha256 ~key:platform_key ("seal:" ^ measurement) in
-  (String.sub base 0 16, hmac_sha256 ~key:base "mac")
+(* Every blob the SM hands the host is this one construction; only the
+   magic, the nonce length and the keys differ between formats. *)
+type envelope = {
+  magic : string;
+  nonce_len : int;
+  enc_key : string;
+  mac_key : string;
+}
 
 let pad16 s =
   let r = String.length s mod 16 in
   if r = 0 then s else s ^ String.make (16 - r) '\x00'
 
-let le32 v =
-  String.init 4 (fun i -> Char.chr ((v lsr (8 * i)) land 0xff))
+(* Blob: magic ‖ le32 plaintext length ‖ nonce ‖ iv ‖ ct ‖ tag,
+   encrypt-then-MAC. The IV is synthetic (SIV-style): a MAC of nonce
+   and plaintext. The tag covers everything before it, the length
+   included: the host stores the blob, and a length outside the MAC
+   would let it truncate the plaintext or grow it into the padding. *)
+let seal_envelope env ~nonce data =
+  assert (String.length nonce = env.nonce_len);
+  let iv = String.sub (hmac_sha256 ~key:env.mac_key (nonce ^ data)) 0 16 in
+  let ct = Crypto.Aes.cbc_encrypt ~key:env.enc_key ~iv (pad16 data) in
+  let b = Buffer.create (String.length ct + 80) in
+  Buffer.add_string b env.magic;
+  Wire.put_u32 b (String.length data);
+  Buffer.add_string b nonce;
+  Buffer.add_string b iv;
+  Buffer.add_string b ct;
+  Buffer.add_string b (hmac_sha256 ~key:env.mac_key (Buffer.contents b));
+  Buffer.contents b
 
-let read_le32 s off =
-  let v = ref 0 in
-  for i = 3 downto 0 do
-    v := (!v lsl 8) lor Char.code s.[off + i]
-  done;
-  !v
-
-(* Blob: magic ‖ le32 plaintext length ‖ iv ‖ ct ‖ tag. The tag covers
-   everything before it, the length included: the host stores the blob,
-   and a length outside the MAC would let it truncate the plaintext. *)
-let seal_data ~measurement data =
-  let enc_key, mac_key = seal_keys ~measurement in
-  (* SIV-style deterministic IV over the plaintext *)
-  let iv = String.sub (hmac_sha256 ~key:mac_key data) 0 16 in
-  let ct = Crypto.Aes.cbc_encrypt ~key:enc_key ~iv (pad16 data) in
-  let body = seal_magic ^ le32 (String.length data) ^ iv ^ ct in
-  body ^ hmac_sha256 ~key:mac_key body
-
-let unseal_data ~measurement blob =
-  let hdr = 5 + 4 + 16 in
-  if String.length blob < hdr + 32 then Error "sealed blob truncated"
-  else if String.sub blob 0 5 <> seal_magic then Error "bad sealed magic"
+let open_envelope env blob =
+  let mlen = String.length env.magic in
+  let hdr = mlen + 4 + env.nonce_len + 16 in
+  let ct_len = String.length blob - hdr - 32 in
+  let fail what = Error (env.magic ^ " blob: " ^ what) in
+  if ct_len < 0 then fail "truncated"
+  else if String.sub blob 0 mlen <> env.magic then fail "bad magic"
+  else if ct_len = 0 || ct_len mod 16 <> 0 then fail "bad ciphertext length"
   else begin
-    let enc_key, mac_key = seal_keys ~measurement in
-    let data_len = read_le32 blob 5 in
-    let iv = String.sub blob 9 16 in
-    let ct_len = String.length blob - hdr - 32 in
-    if ct_len <= 0 || ct_len mod 16 <> 0 then Error "bad sealed length"
+    let body = String.sub blob 0 (hdr + ct_len) in
+    let tag = String.sub blob (hdr + ct_len) 32 in
+    if not (constant_time_eq tag (hmac_sha256 ~key:env.mac_key body)) then
+      fail "failed authentication (wrong key or tampered)"
     else begin
-      let ct = String.sub blob hdr ct_len in
-      let tag = String.sub blob (hdr + ct_len) 32 in
-      let body = String.sub blob 0 (hdr + ct_len) in
-      if not (constant_time_eq tag (hmac_sha256 ~key:mac_key body)) then
-        Error "sealed blob failed authentication (wrong CVM or tampered)"
-      else begin
-        let padded = Crypto.Aes.cbc_decrypt ~key:enc_key ~iv ct in
-        if data_len > String.length padded then Error "inconsistent length"
-        else Ok (String.sub padded 0 data_len)
-      end
+      let len = Wire.get_u32 blob mlen in
+      let iv = String.sub blob (hdr - 16) 16 in
+      let padded =
+        Crypto.Aes.cbc_decrypt ~key:env.enc_key ~iv (String.sub blob hdr ct_len)
+      in
+      if len > String.length padded then fail "inconsistent length"
+      else Ok (String.sub padded 0 len)
     end
   end
+
+(* ---------- sealed storage ---------- *)
+
+(* Keys bound to the measurement: only a CVM running the identical image
+   derives them. No nonce: sealing is deterministic per plaintext. *)
+let storage_envelope ~measurement =
+  let base = hmac_sha256 ~key:platform_key ("seal:" ^ measurement) in
+  {
+    magic = "ZSEAL";
+    nonce_len = 0;
+    enc_key = String.sub base 0 16;
+    mac_key = hmac_sha256 ~key:base "mac";
+  }
+
+let seal_data ~measurement data =
+  seal_envelope (storage_envelope ~measurement) ~nonce:"" data
+
+let unseal_data ~measurement blob =
+  open_envelope (storage_envelope ~measurement) blob
+
+(* ---------- migration images ---------- *)
+
+(* Platform-wide keys, so the destination monitor can open the image. A
+   purely plaintext-derived SIV is deterministic: two exports of an
+   unchanged CVM would yield byte-identical blobs, letting the host
+   correlate them (and detect that a guest made no progress between
+   snapshots). Every seal therefore mixes a 16-byte session nonce into
+   both the IV and the tag; the nonce travels in the clear header — it
+   carries no secret, it only breaks determinism. *)
+let migration_envelope =
+  {
+    magic = "ZMIG2";
+    nonce_len = 16;
+    enc_key = String.sub (hmac_sha256 ~key:platform_key "migrate-enc") 0 16;
+    mac_key = hmac_sha256 ~key:platform_key "migrate-mac";
+  }
+
+let seal_migration ~nonce payload =
+  let env = migration_envelope in
+  let nonce =
+    if String.length nonce = env.nonce_len then nonce
+    else
+      String.sub
+        (hmac_sha256 ~key:env.mac_key ("nonce:" ^ nonce))
+        0 env.nonce_len
+  in
+  seal_envelope env ~nonce payload
+
+let unseal_migration blob = open_envelope migration_envelope blob

@@ -39,7 +39,8 @@ type report = {
 
 val platform_key : string
 (** Simulated device key (a real deployment derives it from hardware;
-    fixed here for reproducibility). *)
+    fixed here for reproducibility). Any code that links this library
+    can read it, the hypervisor library included. *)
 
 val max_nonce_len : int
 (** 64 bytes — the longest nonce a report will bind. *)
@@ -65,16 +66,20 @@ val constant_time_eq : string -> string -> bool
     comparison (report, seal and migration blobs, migration messages)
     so test-visible timing cannot distinguish near-miss MACs. *)
 
-val pad16 : string -> string
-(** Zero-pad to a multiple of 16 bytes (the AES block). *)
+(* {2 Sealed blobs}
 
-(* {2 Sealed storage}
+   Every blob the SM hands the host is one envelope: a clear magic, the
+   plaintext length as a little-endian u32, a clear nonce, a 16-byte
+   synthetic IV (HMAC of nonce and plaintext), the AES-128-CBC
+   ciphertext of the zero-padded plaintext, and an HMAC-SHA256 tag over
+   everything before it (encrypt-then-MAC). The host can store or carry
+   a blob but neither read nor alter it. Opening fails on a wrong
+   magic, truncation, any tampering (the length field included) or a
+   blob sealed under other keys.
 
-   Data sealed by a confidential VM is bound to its measurement: the
-   sealing key is derived from the platform key {e and} the CVM's
-   measurement, so only a CVM running the identical image can unseal.
-   The blob is encrypt-then-MAC (AES-128-CBC + HMAC-SHA256) and opaque
-   to the hypervisor that stores it. *)
+   Sealed storage ([ZSEAL]) binds data to a CVM's measurement: its keys
+   are derived from the platform key {e and} the measurement, so only a
+   CVM running the identical image can unseal. It carries no nonce. *)
 
 val seal_data : measurement:string -> string -> string
 (** Seal a byte string for CVMs with the given measurement. *)
@@ -82,3 +87,11 @@ val seal_data : measurement:string -> string -> string
 val unseal_data : measurement:string -> string -> (string, string) result
 (** Recover the plaintext; fails on tampering, truncation, or a
     measurement mismatch. *)
+
+val seal_migration : nonce:string -> string -> string
+(** Seal a migration image payload ({!Migrate}) as a [ZMIG2] blob under
+    the platform's migration keys. [nonce] is 16 bytes; longer or
+    shorter strings are compressed through the MAC key. *)
+
+val unseal_migration : string -> (string, string) result
+(** Verify and decrypt a [ZMIG2] blob back to its payload. *)

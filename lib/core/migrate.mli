@@ -10,11 +10,9 @@
     and decrypts the blob and rebuilds the CVM inside fresh secure
     memory.
 
-    Format (after the clear-text header "ZMIG2" + payload length): a
-    16-byte per-session nonce, SIV-style synthetic IV (MAC of
-    nonce + plaintext), AES-128-CBC ciphertext, HMAC-SHA256 tag over
-    everything before it, header included (encrypt-then-MAC). Keys:
-    HKDF-like HMAC(platform_key, label). The nonce breaks export determinism:
+    Format: the serialized image in a ["ZMIG2"] blob
+    ({!Attest.seal_migration}) with a 16-byte per-session nonce, under
+    keys HMAC(platform_key, label). The nonce breaks export determinism:
     without it two exports of an unchanged CVM are byte-identical and
     the untrusted host can correlate them. *)
 

@@ -45,9 +45,6 @@ let max_reason = 256
 let session_key session =
   Attest.hmac_sha256 ~key:Attest.platform_key ("migproto:" ^ session)
 
-let put_u32 b v = Buffer.add_int32_le b (Int32.of_int v)
-let get_u32 s off = Int32.to_int (String.get_int32_le s off) land 0xFFFF_FFFF
-
 let kind_of_payload = function
   | Offer _ -> 0
   | Chunk _ -> 1
@@ -61,35 +58,35 @@ let encode { p_session; p_epoch; p_ctx; p_payload } =
   let b = Buffer.create 256 in
   Buffer.add_string b magic;
   Buffer.add_char b (Char.chr (kind_of_payload p_payload));
-  put_u32 b p_epoch;
+  Wire.put_u32 b p_epoch;
   Buffer.add_char b (Char.chr (String.length p_session));
   Buffer.add_string b p_session;
   (* Causal context rides every message; the MAC below covers the whole
      body, so the courier cannot splice a message onto another trace. *)
-  put_u32 b p_ctx.Metrics.Span.trace_id;
-  put_u32 b p_ctx.Metrics.Span.span_id;
-  put_u32 b p_ctx.Metrics.Span.parent_id;
+  Wire.put_u32 b p_ctx.Metrics.Span.trace_id;
+  Wire.put_u32 b p_ctx.Metrics.Span.span_id;
+  Wire.put_u32 b p_ctx.Metrics.Span.parent_id;
   (match p_payload with
   | Offer { total; blob_len; chunk_size; tag } ->
-      put_u32 b total;
-      put_u32 b blob_len;
-      put_u32 b chunk_size;
+      Wire.put_u32 b total;
+      Wire.put_u32 b blob_len;
+      Wire.put_u32 b chunk_size;
       Buffer.add_char b (Char.chr (String.length tag land 0xff));
       Buffer.add_string b tag
   | Chunk { seq; data } ->
-      put_u32 b seq;
-      put_u32 b (String.length data);
+      Wire.put_u32 b seq;
+      Wire.put_u32 b (String.length data);
       Buffer.add_string b data
   | Query | Commit -> ()
   | Abort reason ->
-      put_u32 b (String.length reason);
+      Wire.put_u32 b (String.length reason);
       Buffer.add_string b reason
-  | Ack { upto } -> put_u32 b upto
+  | Ack { upto } -> Wire.put_u32 b upto
   | Status st -> (
       match st with
       | St_receiving upto ->
           Buffer.add_char b '\x00';
-          put_u32 b upto
+          Wire.put_u32 b upto
       | St_prepared tag ->
           Buffer.add_char b '\x01';
           Buffer.add_char b (Char.chr (String.length tag land 0xff));
@@ -100,7 +97,7 @@ let encode { p_session; p_epoch; p_ctx; p_payload } =
           Buffer.add_string b tag
       | St_aborted reason ->
           Buffer.add_char b '\x03';
-          put_u32 b (String.length reason);
+          Wire.put_u32 b (String.length reason);
           Buffer.add_string b reason
       | St_unknown -> Buffer.add_char b '\x04'));
   let body = Buffer.contents b in
@@ -110,119 +107,93 @@ let encode { p_session; p_epoch; p_ctx; p_payload } =
   body ^ mac
 
 (* Total parser over courier-corrupted bytes. *)
-exception Bad of string
-
 let decode msg =
-  let fail m = raise (Bad m) in
-  try
-    let blen = String.length msg - mac_len in
-    if blen < 10 then fail "short";
+  let blen = String.length msg - mac_len in
+  if blen < 10 then Error "short"
+  else
     let body = String.sub msg 0 blen in
-    let pos = ref 0 in
-    let need n = if !pos + n > blen then fail "truncated" in
-    let byte () =
-      need 1;
-      let c = Char.code body.[!pos] in
-      incr pos;
-      c
-    in
-    let u32 () =
-      need 4;
-      let v = get_u32 body !pos in
-      pos := !pos + 4;
-      v
-    in
-    let bytes n =
-      if n < 0 then fail "negative length";
-      need n;
-      let s = String.sub body !pos n in
-      pos := !pos + n;
-      s
-    in
-    if bytes 4 <> magic then fail "bad magic";
-    let kind = byte () in
-    let epoch = u32 () in
-    let slen = byte () in
-    if slen = 0 || slen > max_session then fail "bad session length";
-    let session = bytes slen in
-    let ctx =
-      let trace_id = u32 () in
-      let span_id = u32 () in
-      let parent_id = u32 () in
-      { Metrics.Span.trace_id; span_id; parent_id }
-    in
-    let mac = String.sub msg blen mac_len in
-    let expect =
-      String.sub (Attest.hmac_sha256 ~key:(session_key session) body) 0 mac_len
-    in
-    if not (Attest.constant_time_eq mac expect) then fail "bad mac";
-    let payload =
-      match kind with
-      | 0 ->
-          let total = u32 () in
-          let blob_len = u32 () in
-          let chunk_size = u32 () in
-          if total <= 0 || total > 1 lsl 24 then fail "implausible total";
-          if chunk_size <= 0 || chunk_size > max_chunk then
-            fail "implausible chunk size";
-          let taglen = byte () in
-          Offer { total; blob_len; chunk_size; tag = bytes taglen }
-      | 1 ->
-          let seq = u32 () in
-          let len = u32 () in
-          if len > max_chunk then fail "oversized chunk";
-          Chunk { seq; data = bytes len }
-      | 2 -> Query
-      | 3 -> Commit
-      | 4 ->
-          let len = u32 () in
-          if len > max_reason then fail "oversized reason";
-          Abort (bytes len)
-      | 5 -> Ack { upto = u32 () }
-      | 6 -> (
-          match byte () with
-          | 0 -> Status (St_receiving (u32 ()))
+    Wire.parse body (fun r ->
+        if Wire.bytes r 4 <> magic then Wire.reject "bad magic";
+        let kind = Wire.u8 r in
+        let epoch = Wire.u32 r in
+        let slen = Wire.u8 r in
+        if slen = 0 || slen > max_session then Wire.reject "bad session length";
+        let session = Wire.bytes r slen in
+        let ctx =
+          let trace_id = Wire.u32 r in
+          let span_id = Wire.u32 r in
+          let parent_id = Wire.u32 r in
+          { Metrics.Span.trace_id; span_id; parent_id }
+        in
+        let mac = String.sub msg blen mac_len in
+        let expect =
+          String.sub
+            (Attest.hmac_sha256 ~key:(session_key session) body)
+            0 mac_len
+        in
+        if not (Attest.constant_time_eq mac expect) then Wire.reject "bad mac";
+        let payload =
+          match kind with
+          | 0 ->
+              let total = Wire.u32 r in
+              let blob_len = Wire.u32 r in
+              let chunk_size = Wire.u32 r in
+              if total <= 0 || total > 1 lsl 24 then
+                Wire.reject "implausible total";
+              if chunk_size <= 0 || chunk_size > max_chunk then
+                Wire.reject "implausible chunk size";
+              let taglen = Wire.u8 r in
+              Offer { total; blob_len; chunk_size; tag = Wire.bytes r taglen }
           | 1 ->
-              let n = byte () in
-              Status (St_prepared (bytes n))
-          | 2 ->
-              let n = byte () in
-              Status (St_committed (bytes n))
-          | 3 ->
-              let len = u32 () in
-              if len > max_reason then fail "oversized reason";
-              Status (St_aborted (bytes len))
-          | 4 -> Status St_unknown
-          | _ -> fail "unknown status")
-      | _ -> fail "unknown kind"
-    in
-    if !pos <> blen then fail "trailing bytes";
-    Ok { p_session = session; p_epoch = epoch; p_ctx = ctx; p_payload = payload }
-  with
-  | Bad m -> Error m
-  | _ -> Error "malformed message"
+              let seq = Wire.u32 r in
+              let len = Wire.u32 r in
+              if len > max_chunk then Wire.reject "oversized chunk";
+              Chunk { seq; data = Wire.bytes r len }
+          | 2 -> Query
+          | 3 -> Commit
+          | 4 ->
+              let len = Wire.u32 r in
+              if len > max_reason then Wire.reject "oversized reason";
+              Abort (Wire.bytes r len)
+          | 5 -> Ack { upto = Wire.u32 r }
+          | 6 -> (
+              match Wire.u8 r with
+              | 0 -> Status (St_receiving (Wire.u32 r))
+              | 1 ->
+                  let n = Wire.u8 r in
+                  Status (St_prepared (Wire.bytes r n))
+              | 2 ->
+                  let n = Wire.u8 r in
+                  Status (St_committed (Wire.bytes r n))
+              | 3 ->
+                  let len = Wire.u32 r in
+                  if len > max_reason then Wire.reject "oversized reason";
+                  Status (St_aborted (Wire.bytes r len))
+              | 4 -> Status St_unknown
+              | _ -> Wire.reject "unknown status")
+          | _ -> Wire.reject "unknown kind"
+        in
+        if not (Wire.at_end r) then Wire.reject "trailing bytes";
+        {
+          p_session = session;
+          p_epoch = epoch;
+          p_ctx = ctx;
+          p_payload = payload;
+        })
 
-(* ---------- shared configuration ---------- *)
+(* ---------- courier constants ---------- *)
 
-type config = {
-  chunk_size : int;  (** bytes of sealed blob per chunk *)
-  window : int;  (** go-back-N send window, in chunks *)
-  ack_timeout : int;  (** ticks before an unacknowledged send refires *)
-  backoff_max : int;  (** retransmit backoff cap, in ticks *)
-  retry_budget : int;
-      (** consecutive no-progress timeouts before a pre-commit abort *)
-}
+let chunk_size = 1024 (* bytes of sealed blob per chunk *)
+let window = 4 (* go-back-N send window, in chunks *)
+let ack_timeout = 4 (* ticks before an unacknowledged send refires *)
+let backoff_max = 32 (* retransmit backoff cap, in ticks *)
 
-let default_config =
-  { chunk_size = 1024; window = 4; ack_timeout = 4; backoff_max = 32;
-    retry_budget = 12 }
-
-let split_chunks cfg blob =
+let split_chunks blob =
   let len = String.length blob in
-  let n = max 1 ((len + cfg.chunk_size - 1) / cfg.chunk_size) in
+  let n = max 1 ((len + chunk_size - 1) / chunk_size) in
   Array.init n (fun i ->
-      let off = i * cfg.chunk_size in
-      String.sub blob off (min cfg.chunk_size (len - off)))
+      let off = i * chunk_size in
+      String.sub blob off (min chunk_size (len - off)))
 
 (* ---------- causal-context discipline at the monitor boundary ----------
 
@@ -258,12 +229,14 @@ type source_phase =
   | S_aborted of string
 
 type source = {
-  sc : config;
   s_mon : Monitor.t;
   s_session : string;
   s_epoch : int;
   s_ctx : Metrics.Span.ctx;  (* stamped on every emitted message *)
   s_tag : string;
+  s_budget : int;
+      (* consecutive no-progress timeouts before a pre-commit abort: the
+         retry budget the monitor recorded for the session *)
   s_chunks : string array;
   s_blob_len : int;
   mutable s_phase : source_phase;
@@ -282,8 +255,6 @@ type source = {
 
 let source_phase s = s.s_phase
 let source_events s = s.s_events
-let source_session s = s.s_session
-let source_epoch s = s.s_epoch
 
 let source_stats s =
   (s.s_sent_chunks, s.s_retransmits, s.s_rejected)
@@ -292,15 +263,16 @@ let source_ctx s = s.s_ctx
 
 let s_reg s = Monitor.registry s.s_mon
 
-let make_source ~config ~mon ~session ~phase ~epoch ~ctx ~blob =
-  let chunks = split_chunks config blob in
+let make_source mon (info : Monitor.migration_info) ~session ~phase ~epoch
+    ~ctx ~blob =
+  let chunks = split_chunks blob in
   {
-    sc = config;
     s_mon = mon;
     s_session = session;
     s_epoch = epoch;
     s_ctx = ctx;
-    s_tag = "";
+    s_tag = info.mi_blob_tag;
+    s_budget = info.mi_budget;
     s_chunks = chunks;
     s_blob_len = String.length blob;
     s_phase = phase;
@@ -317,68 +289,57 @@ let make_source ~config ~mon ~session ~phase ~epoch ~ctx ~blob =
     s_first_sent = Array.make (Array.length chunks) (-1);
   }
 
-let source_start ?(config = default_config) ?ctx mon ~cvm ~session =
+let out_session mon session = Monitor.migrate_session mon ~role:`Out ~session
+
+let source_start ?ctx mon ~cvm ~session =
   let ctx = match ctx with Some c -> c | None -> Metrics.Span.root () in
   with_ctx mon ctx (fun () ->
-      match
-        Monitor.migrate_out_begin ~budget:config.retry_budget mon ~cvm ~session
-      with
+      match Monitor.migrate_out_begin mon ~cvm ~session with
       | Error e -> Error e
-      | Ok (blob, epoch) ->
+      | Ok (blob, epoch) -> (
           proto_instant mon ctx
             ~args:[ ("session", session); ("epoch", string_of_int epoch) ]
             "migproto.offer";
-          let s =
-            make_source ~config ~mon ~session ~phase:S_offering ~epoch ~ctx
-              ~blob
-          in
-          Ok { s with s_tag = Monitor.(
-            match migrate_session mon ~role:`Out ~session with
-            | Some i -> i.mi_blob_tag
-            | None -> "") })
+          match out_session mon session with
+          | None -> Error Ecall.Not_found
+          | Some info ->
+              Ok
+                (make_source mon info ~session ~phase:S_offering ~epoch ~ctx
+                   ~blob)))
 
 (* Rebuild a source endpoint after a crash: the monitor's session table
    says how far the handoff got. An undecided session re-begins under a
    new epoch (same bytes — the nonce is pinned); a committed one resumes
-   pushing Commit. *)
-let source_recover ?(config = default_config) ?ctx mon ~session =
-  (* The span context does not survive the crash (it lived in the dead
-     endpoint); recovery continues the handoff under a fresh trace
-     unless the driver threads the old one through. *)
-  let ctx = match ctx with Some c -> c | None -> Metrics.Span.root () in
-  match Monitor.migrate_session mon ~role:`Out ~session with
+   pushing Commit. The span context died with the crashed endpoint, so
+   recovery continues the handoff under a fresh trace. *)
+let source_recover mon ~session =
+  let ctx = Metrics.Span.root () in
+  match out_session mon session with
   | None -> Error Ecall.Not_found
   | Some info -> (
+      let resume phase =
+        Ok
+          (make_source mon info ~session ~phase ~epoch:info.Monitor.mi_epoch
+             ~ctx ~blob:"")
+      in
       match (info.Monitor.mi_phase, info.Monitor.mi_cvm) with
-      | `Aborted, _ ->
-          let s =
-            make_source ~config ~mon ~session ~phase:(S_aborted "recovered")
-              ~epoch:info.Monitor.mi_epoch ~ctx ~blob:""
-          in
-          Ok { s with s_tag = info.Monitor.mi_blob_tag }
+      | `Aborted, _ -> resume (S_aborted "recovered")
       | `Committed, _ ->
           (* past the commit point: nothing to stream, drive Commit home *)
-          let s =
-            make_source ~config ~mon ~session ~phase:S_committing
-              ~epoch:info.Monitor.mi_epoch ~ctx ~blob:""
-          in
-          Ok { s with s_tag = info.Monitor.mi_blob_tag }
+          resume S_committing
       | `Active, Some cvm -> (
           match
             with_ctx mon ctx (fun () ->
-                Monitor.migrate_out_begin ~budget:config.retry_budget mon ~cvm
-                  ~session)
+                Monitor.migrate_out_begin mon ~cvm ~session)
           with
           | Error e -> Error e
           | Ok (blob, epoch) ->
               proto_instant mon ctx
                 ~args:[ ("session", session); ("epoch", string_of_int epoch) ]
                 "migproto.reoffer";
-              let s =
-                make_source ~config ~mon ~session ~phase:S_offering ~epoch
-                  ~ctx ~blob
-              in
-              Ok { s with s_tag = info.Monitor.mi_blob_tag })
+              Ok
+                (make_source mon info ~session ~phase:S_offering ~epoch ~ctx
+                   ~blob))
       | `Active, None -> Error Ecall.Bad_state)
 
 let source_note_progress s ~now =
@@ -423,11 +384,11 @@ let source_emit s ~now =
              {
                total = Array.length s.s_chunks;
                blob_len = s.s_blob_len;
-               chunk_size = s.sc.chunk_size;
+               chunk_size;
                tag = s.s_tag;
              }) ]
   | S_streaming ->
-      let hi = min (Array.length s.s_chunks) (s.s_base + s.sc.window) in
+      let hi = min (Array.length s.s_chunks) (s.s_base + window) in
       let out = ref [] in
       for seq = hi - 1 downto s.s_base do
         if s.s_first_sent.(seq) < 0 then s.s_first_sent.(seq) <- now;
@@ -540,7 +501,7 @@ let source_step s ~now ~inbox =
         s.s_events <- s.s_events + 1;
         if s.s_fresh then s.s_fresh <- false
         else begin
-          s.s_backoff <- min s.sc.backoff_max (max 1 (s.s_backoff * 2));
+          s.s_backoff <- min backoff_max (max 1 (s.s_backoff * 2));
           match s.s_phase with
           | S_offering | S_streaming | S_finishing | S_committing ->
               (* a true retransmit: no progress since the last fire *)
@@ -549,7 +510,7 @@ let source_step s ~now ~inbox =
               Metrics.Registry.inc (s_reg s) "migrate.retransmit";
               (match s.s_phase with
               | S_offering | S_streaming | S_finishing
-                when s.s_stalls > s.sc.retry_budget ->
+                when s.s_stalls > s.s_budget ->
                   (* Abort before (not after) recording the overrun: the
                      SM rejects over-budget reports, and a crash landing
                      between a note and its abort must never strand an
@@ -562,13 +523,13 @@ let source_step s ~now ~inbox =
                   ignore
                     (Monitor.migrate_note_stalls s.s_mon
                        ~session:s.s_session
-                       (min s.s_stalls s.sc.retry_budget)))
+                       (min s.s_stalls s.s_budget)))
           | S_done | S_aborted _ ->
               (* best-effort terminal notifications, not retries *)
               ()
         end;
         let out = source_emit s ~now in
-        s.s_deadline <- now + s.sc.ack_timeout + s.s_backoff;
+        s.s_deadline <- now + ack_timeout + s.s_backoff;
         out
       end
 
@@ -578,7 +539,6 @@ type recv_buf = {
   rb_total : int;
   rb_blob_len : int;
   rb_chunk_size : int;
-  rb_tag : string;
   rb_slots : string option array;
   mutable rb_upto : int;  (* chunks contiguously received *)
 }
@@ -591,7 +551,6 @@ type dest_phase =
   | D_aborted of string
 
 type dest = {
-  dc : config;
   d_mon : Monitor.t;
   d_session : string;
   mutable d_epoch : int;
@@ -605,16 +564,13 @@ type dest = {
   mutable d_rejected : int;
 }
 
-let dest_phase d = d.d_phase
 let dest_events d = d.d_events
-let dest_session d = d.d_session
 
 let dest_stats d = (d.d_chunks_recv, d.d_dup_chunks, d.d_rejected)
 let dest_ctx d = d.d_ctx
 
-let dest_create ?(config = default_config) mon ~session =
+let dest_create mon ~session =
   {
-    dc = config;
     d_mon = mon;
     d_session = session;
     d_epoch = 0;
@@ -628,8 +584,8 @@ let dest_create ?(config = default_config) mon ~session =
 
 (* Rebuild a destination endpoint after a crash. Chunks in flight are
    gone — only the monitor's prepared/committed record survives. *)
-let dest_recover ?(config = default_config) mon ~session =
-  let d = dest_create ~config mon ~session in
+let dest_recover mon ~session =
+  let d = dest_create mon ~session in
   (match Monitor.migrate_session mon ~role:`In ~session with
   | None -> ()
   | Some info -> (
@@ -690,14 +646,13 @@ let dest_handle d pkt =
   let reply st = [ Status st ] in
   let replies =
     match pkt.p_payload with
-    | Offer { total; blob_len; chunk_size; tag } -> (
+    | Offer { total; blob_len; chunk_size; _ } -> (
         let fresh_buf () =
           D_receiving
             {
               rb_total = total;
               rb_blob_len = blob_len;
               rb_chunk_size = chunk_size;
-              rb_tag = tag;
               rb_slots = Array.make total None;
               rb_upto = 0;
             }

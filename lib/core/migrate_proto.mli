@@ -27,7 +27,13 @@
       ([Monitor.migrate_out_commit], triggered by the Prepared vote);
       past it, Commit is retried with capped backoff, forever;
     - before the vote, either side may abort (retry budget exhausted,
-      or an explicit Abort), and the source reactivates its CVM. *)
+      or an explicit Abort), and the source reactivates its CVM.
+
+    The courier's timing is fixed: 1 KiB chunks, a go-back-N window of
+    4 chunks, a resend after 4 ticks without progress plus a backoff
+    that doubles up to 32 ticks. The retry budget is the one the source
+    monitor recorded for the session ({!Monitor.migrate_out_begin}'s
+    default, 12 timeouts). *)
 
 (* {2 Wire format} *)
 
@@ -61,18 +67,6 @@ val encode : packet -> string
 val decode : string -> (packet, string) result
 (** Total over arbitrary bytes; verifies the MAC. *)
 
-(* {2 Configuration} *)
-
-type config = {
-  chunk_size : int;
-  window : int;
-  ack_timeout : int;
-  backoff_max : int;
-  retry_budget : int;
-}
-
-val default_config : config
-
 (* {2 Source endpoint} *)
 
 type source_phase =
@@ -86,7 +80,6 @@ type source_phase =
 type source
 
 val source_start :
-  ?config:config ->
   ?ctx:Metrics.Span.ctx ->
   Monitor.t ->
   cvm:int ->
@@ -101,17 +94,13 @@ val source_start :
     emits only instants, so no span can be left open by a crash. *)
 
 val source_recover :
-  ?config:config ->
-  ?ctx:Metrics.Span.ctx ->
-  Monitor.t ->
-  session:string ->
-  (source, Ecall.error) result
+  Monitor.t -> session:string -> (source, Ecall.error) result
 (** Rebuild the endpoint after a crash from the monitor's session
     record: an undecided session re-begins under a fresh epoch (the
     pinned nonce makes the re-export byte-identical); a committed one
     resumes pushing Commit; an aborted one comes back terminal. The
     span context died with the crashed endpoint: recovery runs under
-    a fresh root trace unless [ctx] threads the old one through. *)
+    a fresh root trace. *)
 
 val source_step : source -> now:int -> inbox:string list -> string list
 (** Feed delivered messages and the clock; returns messages to send.
@@ -122,9 +111,6 @@ val source_events : source -> int
 (** Messages processed plus timeouts fired — the crash-injection
     harness's notion of "protocol step". *)
 
-val source_session : source -> string
-val source_epoch : source -> int
-
 val source_stats : source -> int * int * int
 (** (chunks sent, retransmits, rejected messages). *)
 
@@ -132,35 +118,17 @@ val source_ctx : source -> Metrics.Span.ctx
 
 (* {2 Destination endpoint} *)
 
-type recv_buf = {
-  rb_total : int;
-  rb_blob_len : int;
-  rb_chunk_size : int;
-  rb_tag : string;
-  rb_slots : string option array;
-  mutable rb_upto : int;
-}
-
-type dest_phase =
-  | D_waiting
-  | D_receiving of recv_buf
-  | D_prepared of int  (** prepared CVM id *)
-  | D_committed of int
-  | D_aborted of string
-
 type dest
 
-val dest_create : ?config:config -> Monitor.t -> session:string -> dest
-val dest_recover : ?config:config -> Monitor.t -> session:string -> dest
+val dest_create : Monitor.t -> session:string -> dest
+val dest_recover : Monitor.t -> session:string -> dest
 (** After a crash: in-flight chunks are gone, but a prepared or
     committed instance is recovered from the monitor. *)
 
 val dest_step : dest -> now:int -> inbox:string list -> string list
 (** Purely reactive: replies to whatever arrived. *)
 
-val dest_phase : dest -> dest_phase
 val dest_events : dest -> int
-val dest_session : dest -> string
 
 val dest_stats : dest -> int * int * int
 (** (chunks received, duplicate chunks, rejected messages). *)

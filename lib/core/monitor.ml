@@ -73,9 +73,10 @@ type health = {
   h_internal_faults : int;
 }
 
-let health_snapshot ?(stall_cycles = 10_000_000) ?(clock_hz = 1e8) t =
+let health_snapshot ?(stall_cycles = 10_000_000) t =
   let now = Metrics.Ledger.now (ledger t) in
-  let seconds = float_of_int now /. clock_hz in
+  (* switches per second on the calibrated 100 MHz clock *)
+  let seconds = float_of_int now /. 1e8 in
   let tenants =
     Hashtbl.fold
       (fun id (cvm : Cvm.t) acc ->

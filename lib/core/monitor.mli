@@ -149,14 +149,13 @@ type health = {
   h_internal_faults : int;
 }
 
-val health_snapshot : ?stall_cycles:int -> ?clock_hz:float -> t -> health
+val health_snapshot : ?stall_cycles:int -> t -> health
 (** The live telemetry rollup for every CVM this monitor knows
     (including quarantined and destroyed ones still in the table).
-    [stall_cycles] defaults to 10M cycles; [clock_hz] (for the
-    switches/sec rate) defaults to 1e8, the calibrated 100 MHz
-    clock. Works with the flight recorder on or off — lifecycle
-    counts come from CVM bookkeeping; only the request latency
-    quantiles need a traced workload feeding the registry. *)
+    [stall_cycles] defaults to 10M cycles; the switches/sec rate is on
+    the calibrated 100 MHz clock. Works with the flight recorder on or
+    off — lifecycle counts come from CVM bookkeeping; only the request
+    latency quantiles need a traced workload feeding the registry. *)
 
 val exit_reason_label : exit_reason -> string
 (** Short stable label ("timer", "mmio", ...) used in trace events and

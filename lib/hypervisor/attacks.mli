@@ -34,6 +34,13 @@ val steal_vcpu_state : Zion.Monitor.t -> cvm:int -> outcome
 (** Try to read a guest register through the SM-mediated interface with
     no pending exit. *)
 
+val park_at_mmio_read : Kvm.t -> Kvm.cvm_handle
+(** Create a CVM that reads virtio-blk over MMIO and run it on hart 0
+    until it stops at that read with the reply pending (acknowledging
+    write exits and mapping shared faults on the way): the target the
+    shared-vCPU tampering vectors need. Raises [Invalid_argument] when
+    the guest cannot be created or never reaches the read. *)
+
 (** {2 Device DMA through a hostile bounce mapping}
 
     Each vector creates a CVM, points one of its bounce slots at a free

@@ -103,8 +103,6 @@ let guest_entry = 0x10000L
 
 let mib n = Int64.mul (Int64.of_int n) 0x100000L
 
-let registry w = Zion.Monitor.registry w.mon
-
 let count_result w r =
   w.calls <- w.calls + 1;
   match r with
@@ -117,7 +115,6 @@ let count_result w r =
 let record_exn w exn =
   w.uncaught <- w.uncaught + 1;
   w.calls <- w.calls + 1;
-  Metrics.Registry.inc (registry w) "chaos.uncaught";
   let label = "EXN " ^ Printexc.to_string exn in
   Hashtbl.replace w.errors label
     (1 + Option.value ~default:0 (Hashtbl.find_opt w.errors label))
@@ -339,8 +336,7 @@ let destroy w h =
   then begin
     w.destroyed <- w.destroyed + 1;
     if was_quarantined then begin
-      w.quarantines_reclaimed <- w.quarantines_reclaimed + 1;
-      Metrics.Registry.inc (registry w) "chaos.quarantine_reclaimed"
+      w.quarantines_reclaimed <- w.quarantines_reclaimed + 1
     end
   end;
   forget w h
@@ -355,7 +351,6 @@ let reap_quarantined w =
         = Some Zion.Cvm.Quarantined
       then begin
         w.quarantines <- w.quarantines + 1;
-        Metrics.Registry.inc (registry w) "chaos.quarantine";
         destroy w h
       end)
     w.live
@@ -386,7 +381,6 @@ let step w =
       | Kvm.C_timer | Kvm.C_limit -> ()
       | exception _ ->
           w.uncaught <- w.uncaught + 1;
-          Metrics.Registry.inc (registry w) "chaos.uncaught";
           forget w h
     end
 
@@ -417,8 +411,7 @@ let tamper_reply w =
       | Ok Zion.Monitor.Exit_shutdown -> destroy w h
       | Ok _ | Error _ -> ()
       | exception _ ->
-          w.uncaught <- w.uncaught + 1;
-          Metrics.Registry.inc (registry w) "chaos.uncaught")
+          w.uncaught <- w.uncaught + 1)
 
 (* Point a leaf of the CVM's own shared subtree at secure memory, then
    try to enter: the sweep must refuse and quarantine. The CVM is torn
@@ -473,7 +466,6 @@ let poison_ring w =
           with
           | Ok _ | Error _ -> ()));
       w.ring_poisons <- w.ring_poisons + 1;
-      Metrics.Registry.inc (registry w) "chaos.ring_poison";
       let module Sw = Guest.Swiotlb in
       let off, width =
         match rand_int w.r 8 with
@@ -518,7 +510,6 @@ let poison_ring w =
          done
        with exn ->
          w.uncaught <- w.uncaught + 1;
-         Metrics.Registry.inc (registry w) "chaos.uncaught";
          Hashtbl.replace w.errors
            ("EXN ring " ^ Printexc.to_string exn)
            (1
@@ -526,8 +517,7 @@ let poison_ring w =
                (Hashtbl.find_opt w.errors
                   ("EXN ring " ^ Printexc.to_string exn))));
       if was_active && not (Kvm.exitless_active w.kvm h) then begin
-        w.ring_fallbacks <- w.ring_fallbacks + 1;
-        Metrics.Registry.inc (registry w) "chaos.ring_fallback"
+        w.ring_fallbacks <- w.ring_fallbacks + 1
       end
 
 (* ---------- channel actions ---------- *)
@@ -582,7 +572,6 @@ let open_channel w =
                            ma
                     then begin
                       w.chan_opens <- w.chan_opens + 1;
-                      Metrics.Registry.inc (registry w) "chaos.chan_open";
                       w.chans <- chan :: w.chans
                     end
                     else
@@ -613,7 +602,6 @@ let chan_poison w =
       | None -> ()
       | Some pa ->
           w.chan_poisons <- w.chan_poisons + 1;
-          Metrics.Registry.inc (registry w) "chaos.chan_poison";
           let base =
             if rand_int w.r 2 = 0 then pa
             else Int64.add pa (Int64.of_int Zion.Layout.chan_dir_off)
@@ -649,7 +637,6 @@ let chan_poison w =
           done;
           if !degraded then begin
             w.chan_degradations <- w.chan_degradations + 1;
-            Metrics.Registry.inc (registry w) "chaos.chan_degrade";
             w.chans <-
               List.filter (fun c -> c <> ci.Zion.Monitor.ci_id) w.chans
           end)
@@ -761,7 +748,6 @@ let audit_one w mon label =
   match Zion.Monitor.audit mon with
   | Ok _ -> ()
   | Error findings ->
-      Metrics.Registry.inc (registry w) "chaos.audit_violation";
       List.iter
         (fun f ->
           let f = label ^ f in
@@ -781,8 +767,12 @@ let audit w =
 
 (* ---------- driver ---------- *)
 
-let run ?(dram_mib = 128) ?(pool_mib = 2) ?(nharts = 2)
-    ?(tlb_retention = false) ?(channels = true) ~seed ~iters () =
+(* Each of the two platforms: 2 harts and 128 MiB of DRAM. *)
+let nharts = 2
+let dram_mib = 128
+
+let run ?(pool_mib = 2) ?(tlb_retention = false) ?(channels = true) ~seed
+    ~iters () =
   let r = Splitmix.create seed in
   let machine = Machine.create ~nharts ~dram_size:(mib dram_mib) () in
   let config =
@@ -841,7 +831,6 @@ let run ?(dram_mib = 128) ?(pool_mib = 2) ?(nharts = 2)
     }
   in
   for i = 1 to iters do
-    Metrics.Registry.inc (registry w) "chaos.iterations";
     (match rand_int w.r 100 with
     | n when n < 8 -> spawn w
     | n when n < 38 -> step w
@@ -1225,7 +1214,11 @@ let sm_scenarios () =
         ignore (Zion.Monitor.migrate_out_abort src ~session:"sweep"));
   ]
 
-let sm_crash_sweep ?(recovery_crashes = true) ?(max_points = 64) () =
+(* Bounds the per-operation sweep and the nested recovery crashes, in
+   case a regression makes an operation journal unboundedly. *)
+let max_points = 64
+
+let sm_crash_sweep () =
   let failures = ref [] in
   let fail name k msg =
     let m = Printf.sprintf "%s@%d: %s" name k msg in
@@ -1236,10 +1229,10 @@ let sm_crash_sweep ?(recovery_crashes = true) ?(max_points = 64) () =
   let cases = ref 0 in
   let op_points = ref [] in
   (* One case: arm the journal to crash at point [k] of the operation,
-     run it, and (if the crash fired) reboot + recover — when
-     [recovery_crashes], the recovery itself is crashed at successively
-     later points until one run completes, exercising
-     recover-after-recover-crash. Returns whether the crash fired. *)
+     run it, and (if the crash fired) reboot + recover — the recovery
+     itself is crashed at successively later points until one run
+     completes, exercising recover-after-recover-crash. Returns whether
+     the crash fired. *)
   let run_case name k inst =
     incr cases;
     let j = Zion.Monitor.journal inst.si_mon in
@@ -1257,7 +1250,7 @@ let sm_crash_sweep ?(recovery_crashes = true) ?(max_points = 64) () =
       incr crashes;
       Zion.Monitor.crash_reboot inst.si_mon;
       let rec recover_through_crashes jj =
-        if recovery_crashes && jj <= max_points then begin
+        if jj <= max_points then begin
           Zion.Journal.set_crash_after j jj;
           match Zion.Monitor.recover inst.si_mon with
           | rep ->

@@ -53,18 +53,17 @@ val survived : report -> bool
 val pp_report : Format.formatter -> report -> unit
 
 val run :
-  ?dram_mib:int ->
   ?pool_mib:int ->
-  ?nharts:int ->
   ?tlb_retention:bool ->
   ?channels:bool ->
   seed:int ->
   iters:int ->
   unit ->
   report
-(** Build a fresh machine/monitor/KVM stack and run [iters] fuzzing
-    iterations from [seed]. Same seed, same build — same sequence:
-    failures are replayable. [tlb_retention] turns on the VMID-tagged
+(** Build a fresh machine/monitor/KVM stack (2 harts and 128 MiB of
+    DRAM, with a [pool_mib]-MiB secure pool, default 2) and run [iters]
+    fuzzing iterations from [seed]. Same seed, same build — same
+    sequence: failures are replayable. [tlb_retention] turns on the VMID-tagged
     world-switch fast path, putting the precise-shootdown machinery
     (and the audit's TLB-coherence section) under fire. [channels]
     (default [true]) mixes in the inter-CVM channel actions: attested
@@ -100,10 +99,9 @@ type sm_report = {
 val sm_survived : sm_report -> bool
 val pp_sm_report : Format.formatter -> sm_report -> unit
 
-val sm_crash_sweep :
-  ?recovery_crashes:bool -> ?max_points:int -> unit -> sm_report
-(** Run the full sweep. [recovery_crashes] (default [true]) also
-    crashes each recovery at successively later journal points until
-    one run completes, exercising recover-after-recover-crash;
-    [max_points] (default 64) bounds the per-operation sweep in case a
-    regression makes an operation journal unboundedly. *)
+val sm_crash_sweep : unit -> sm_report
+(** Run the full sweep. Each recovery is also crashed at successively
+    later journal points until one run completes, exercising
+    recover-after-recover-crash. At most 64 points per operation are
+    swept, in case a regression makes an operation journal
+    unboundedly. *)

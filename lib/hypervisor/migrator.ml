@@ -95,62 +95,74 @@ let handoff_clean ~src ~dst ~cvm ~session =
             (Printf.sprintf "dest owns but source CVM %d is %s" cvm
                (Zion.Cvm.state_to_string st)))
 
-let run ?(config = Mp.default_config) ?(faults = Channel.no_faults) ?(seed = 1)
-    ?crash ?(recover_after = 5) ?(max_ticks = 20_000) ?(grace = 200) ~src ~dst
-    ~cvm ~session () =
-  match Mp.source_start ~config src ~cvm ~session with
+(* Courier timing of the run, in ticks. *)
+let recover_after = 5 (* a crashed endpoint's downtime *)
+let max_ticks = 20_000 (* give up: the protocol did not terminate *)
+let grace = 200 (* let terminal messages drain after the source ends *)
+
+(* One end of the run. A crash loses the endpoint and every counter in
+   it, so [gone] keeps what its crashed incarnations had counted
+   (protocol events, then the endpoint's stats triple); the run's
+   figures add the live endpoint's [count] to it. *)
+type 'e endpoint = {
+  who : side;
+  mutable ep : 'e option;  (* [None] while crashed *)
+  mutable down_until : int;
+  mutable gone : int * (int * int * int);
+  count : 'e -> int * (int * int * int);
+}
+
+let endpoint who ep count =
+  { who; ep = Some ep; down_until = 0; gone = (0, (0, 0, 0)); count }
+
+let counts e =
+  match e.ep with
+  | None -> e.gone
+  | Some ep ->
+      let n, (a, b, c) = e.gone and n', (a', b', c') = e.count ep in
+      (n + n', (a + a', b + b', c + c'))
+
+let run ?(faults = Channel.no_faults) ?(seed = 1) ?crash ~src ~dst ~cvm
+    ~session () =
+  match Mp.source_start src ~cvm ~session with
   | Error e -> Error ("source_start: " ^ Zion.Ecall.error_to_string e)
   | Ok s0 ->
       let fwd = Channel.create ~faults ~seed () in
       let rev = Channel.create ~faults ~seed:(seed + 0x5eed) () in
-      let source = ref (Some s0) in
-      let dest = ref (Some (Mp.dest_create ~config dst ~session)) in
-      let crashes = ref 0 in
-      let recoveries = ref 0 in
-      let src_recover_at = ref (-1) in
-      let dst_recover_at = ref (-1) in
+      let source =
+        endpoint Source s0 (fun s -> (Mp.source_events s, Mp.source_stats s))
+      in
+      let dest =
+        endpoint Dest (Mp.dest_create dst ~session) (fun d ->
+            (Mp.dest_events d, Mp.dest_stats d))
+      in
+      let crashes = ref 0 and recoveries = ref 0 in
       let crash_pending = ref crash in
-      (* last observed endpoint stats, so a crash doesn't zero them *)
-      let s_sent = ref 0 and s_retx = ref 0 and s_rej = ref 0 in
-      let s_events = ref 0 and d_events = ref 0 in
-      let d_recv = ref 0 and d_dup = ref 0 and d_rej = ref 0 in
-      let base_s_sent = ref 0 and base_s_retx = ref 0 and base_s_rej = ref 0 in
-      let base_d_recv = ref 0 and base_d_dup = ref 0 and base_d_rej = ref 0 in
-      let base_s_events = ref 0 and base_d_events = ref 0 in
-      let snap_source s =
-        let sent, retx, rej = Mp.source_stats s in
-        s_sent := !base_s_sent + sent;
-        s_retx := !base_s_retx + retx;
-        s_rej := !base_s_rej + rej;
-        s_events := !base_s_events + Mp.source_events s
+      (* Send a live endpoint's output, unless the pending crash strikes
+         it now: the crash swallows the step's unsent messages. *)
+      let deliver e ~now out chan =
+        match !crash_pending with
+        | Some { at; side } when side = e.who && fst (counts e) >= at ->
+            incr crashes;
+            crash_pending := None;
+            e.gone <- counts e;
+            e.ep <- None;
+            e.down_until <- now + recover_after
+        | _ -> List.iter (Channel.send chan) out
       in
-      let snap_dest d =
-        let recv, dup, rej = Mp.dest_stats d in
-        d_recv := !base_d_recv + recv;
-        d_dup := !base_d_dup + dup;
-        d_rej := !base_d_rej + rej;
-        d_events := !base_d_events + Mp.dest_events d
+      let recovered e ep =
+        e.ep <- Some ep;
+        incr recoveries
       in
-      let kill side now =
-        incr crashes;
-        (match side with
-        | Source ->
-            (match !source with Some s -> snap_source s | None -> ());
-            base_s_sent := !s_sent;
-            base_s_retx := !s_retx;
-            base_s_rej := !s_rej;
-            base_s_events := !s_events;
-            source := None;
-            src_recover_at := now + recover_after
-        | Dest ->
-            (match !dest with Some d -> snap_dest d | None -> ());
-            base_d_recv := !d_recv;
-            base_d_dup := !d_dup;
-            base_d_rej := !d_rej;
-            base_d_events := !d_events;
-            dest := None;
-            dst_recover_at := now + recover_after);
-        crash_pending := None
+      (* The outcome is read back from the monitors, the only authority. *)
+      let outcome = function
+        | Mp.S_aborted reason -> Ok (Aborted reason)
+        | _ -> (
+            match Zion.Monitor.migrate_session dst ~role:`In ~session with
+            | Some { Zion.Monitor.mi_phase = `Committed; mi_cvm = Some id; _ }
+              ->
+                Ok (Committed id)
+            | _ -> Error "source done but destination never committed")
       in
       let finished = ref None in
       let grace_left = ref grace in
@@ -161,92 +173,46 @@ let run ?(config = Mp.default_config) ?(faults = Channel.no_faults) ?(seed = 1)
         let to_dest = Channel.tick fwd in
         let to_source = Channel.tick rev in
         (* destination first: purely reactive *)
-        (match !dest with
-        | Some d ->
-            let out = Mp.dest_step d ~now ~inbox:to_dest in
-            (match !crash_pending with
-            | Some { at; side = Dest }
-              when !base_d_events + Mp.dest_events d >= at ->
-                (* crash swallows the step's unsent replies *)
-                kill Dest now
-            | _ -> List.iter (Channel.send rev) out);
-            (match !dest with Some d -> snap_dest d | None -> ())
-        | None ->
-            List.iter (fun _ -> ()) to_dest;
-            if !dst_recover_at >= 0 && now >= !dst_recover_at then begin
-              dest := Some (Mp.dest_recover ~config dst ~session);
-              dst_recover_at := -1;
-              incr recoveries
-            end);
-        (match !source with
-        | Some s ->
-            let out = Mp.source_step s ~now ~inbox:to_source in
-            (match !crash_pending with
-            | Some { at; side = Source }
-              when !base_s_events + Mp.source_events s >= at ->
-                kill Source now
-            | _ -> List.iter (Channel.send fwd) out);
-            (match !source with
-            | Some s ->
-                snap_source s;
-                (match Mp.source_phase s with
-                | Mp.S_done ->
-                    if !grace_left <= 0 then
-                      finished := Some (Ok (Committed 0))
-                    else decr grace_left
-                | Mp.S_aborted reason ->
-                    if !grace_left <= 0 then
-                      finished := Some (Ok (Aborted reason))
-                    else decr grace_left
-                | _ -> ())
-            | None -> ())
-        | None ->
-            List.iter (fun _ -> ()) to_source;
-            if !src_recover_at >= 0 && now >= !src_recover_at then begin
-              match Mp.source_recover ~config src ~session with
-              | Ok s ->
-                  source := Some s;
-                  src_recover_at := -1;
-                  incr recoveries
-              | Error e ->
-                  finished :=
-                    Some
-                      (Error
-                         ("source_recover: " ^ Zion.Ecall.error_to_string e))
-            end)
+        (match dest.ep with
+        | Some d -> deliver dest ~now (Mp.dest_step d ~now ~inbox:to_dest) rev
+        | None when now >= dest.down_until ->
+            recovered dest (Mp.dest_recover dst ~session)
+        | None -> ());
+        match source.ep with
+        | Some s -> (
+            deliver source ~now (Mp.source_step s ~now ~inbox:to_source) fwd;
+            match Option.map Mp.source_phase source.ep with
+            | Some ((Mp.S_done | Mp.S_aborted _) as phase) ->
+                if !grace_left <= 0 then finished := Some (outcome phase)
+                else decr grace_left
+            | _ -> ())
+        | None when now >= source.down_until -> (
+            match Mp.source_recover src ~session with
+            | Ok s -> recovered source s
+            | Error e ->
+                finished :=
+                  Some
+                    (Error ("source_recover: " ^ Zion.Ecall.error_to_string e)))
+        | None -> ()
       done;
-      let result =
-        match !finished with
-        | Some (Error e) -> Error e
-        | Some (Ok (Aborted r)) -> Ok (Aborted r)
-        | Some (Ok (Committed _)) | None -> (
-            (* resolve the destination CVM id (or a stall) from the
-               monitors, the only authority *)
-            match !finished with
-            | None -> Error "migration did not terminate within max_ticks"
-            | Some _ -> (
-                match
-                  Zion.Monitor.migrate_session dst ~role:`In ~session
-                with
-                | Some { Zion.Monitor.mi_phase = `Committed;
-                         mi_cvm = Some id; _ } ->
-                    Ok (Committed id)
-                | _ -> Error "source done but destination never committed"))
-      in
+      let src_events, (chunks_sent, retransmits, s_rejected) = counts source in
+      let dst_events, (chunks_recv, dup_chunks, d_rejected) = counts dest in
       let stats =
         {
           ticks = !tick;
-          src_events = !s_events;
-          dst_events = !d_events;
-          chunks_sent = !s_sent;
-          retransmits = !s_retx;
-          chunks_recv = !d_recv;
-          dup_chunks = !d_dup;
-          rejected = !s_rej + !d_rej;
+          src_events;
+          dst_events;
+          chunks_sent;
+          retransmits;
+          chunks_recv;
+          dup_chunks;
+          rejected = s_rejected + d_rejected;
           crashes = !crashes;
           recoveries = !recoveries;
           fwd = Channel.stats fwd;
           rev = Channel.stats rev;
         }
       in
-      Result.map (fun o -> (o, stats)) result
+      Option.value !finished
+        ~default:(Error "migration did not terminate within max_ticks")
+      |> Result.map (fun o -> (o, stats))

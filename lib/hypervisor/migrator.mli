@@ -3,7 +3,7 @@
     optional crash injection at a chosen protocol step on either end.
 
     The crashed endpoint loses all courier state (timers, send window,
-    reassembly buffer); after [recover_after] ticks it is rebuilt with
+    reassembly buffer); 5 ticks later it is rebuilt with
     [Zion.Migrate_proto.source_recover]/[dest_recover], which re-derive
     its position from the monitor's durable session record. The driver
     never touches the monitors itself — outcome and ownership are read
@@ -39,43 +39,31 @@ type stats = {
 
 val pp_stats : Format.formatter -> stats -> unit
 
-val owners :
-  src:Zion.Monitor.t ->
-  dst:Zion.Monitor.t ->
-  cvm:int ->
-  session:string ->
-  bool * bool
-(** (source owns, destination owns), read from the monitors: a side owns
-    the guest iff it holds a current or future-runnable instance
-    (a destination's uncommitted prepared copy does not count; a
-    source's resumable [Migrating_out] lock does). *)
-
 val handoff_clean :
   src:Zion.Monitor.t ->
   dst:Zion.Monitor.t ->
   cvm:int ->
   session:string ->
   ([ `Source | `Dest ], string) result
-(** Exactly one owner, and the losing side holds nothing live for this
-    migration (prepared-but-not-committed destination instance scrubbed,
-    committed-away source instance destroyed). *)
+(** Exactly one owner, read from the monitors (a side owns the guest
+    iff it holds a current or future-runnable instance: a destination's
+    uncommitted prepared copy does not count, a source's resumable
+    [Migrating_out] lock does), and the losing side holds nothing live
+    for this migration (prepared-but-not-committed destination instance
+    scrubbed, committed-away source instance destroyed). *)
 
 val run :
-  ?config:Zion.Migrate_proto.config ->
   ?faults:Channel.faults ->
   ?seed:int ->
   ?crash:crash ->
-  ?recover_after:int ->
-  ?max_ticks:int ->
-  ?grace:int ->
   src:Zion.Monitor.t ->
   dst:Zion.Monitor.t ->
   cvm:int ->
   session:string ->
   unit ->
   (outcome * stats, string) result
-(** Drive the migration to a terminal state. [grace] extra ticks run
-    after the source terminates so terminal messages (Abort, Commit
-    acks) can still drain through a lossy channel. [Error] means the
-    protocol failed to terminate or an endpoint could not recover —
+(** Drive the migration to a terminal state. 200 extra ticks run after
+    the source terminates so terminal messages (Abort, Commit acks) can
+    still drain through a lossy channel. [Error] means the protocol did
+    not terminate within 20,000 ticks or an endpoint could not recover —
     both harness-level failures, distinct from a clean [Aborted]. *)

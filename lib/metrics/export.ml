@@ -289,9 +289,9 @@ let sample b name labels value =
   add_num b value;
   Buffer.add_char b '\n'
 
-let registry_to_prometheus ?(namespace = "zion") reg =
+let registry_to_prometheus reg =
   let b = Buffer.create 2048 in
-  let pfx name = sanitize (namespace ^ "_" ^ name) in
+  let pfx name = sanitize ("zion_" ^ name) in
   let seen_type = Hashtbl.create 16 in
   let type_line name kind =
     if not (Hashtbl.mem seen_type name) then begin

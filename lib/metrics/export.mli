@@ -35,13 +35,12 @@ val registry_to_json : ?extra:(string * json) list -> Registry.t -> json
     ["histograms"] (scope/name/count/sum/mean/p50/p95/p99/min/max
     rows), followed by any [extra] top-level fields. *)
 
-val registry_to_prometheus : ?namespace:string -> Registry.t -> string
+val registry_to_prometheus : Registry.t -> string
 (** Prometheus text exposition. Counter ["ecall.create_cvm"] in scope
     [Cvm 1] becomes
     [zion_ecall_create_cvm_total{cvm="1"} 42]; histograms render as
     summaries: [quantile]-labelled sample lines plus [_count] and
-    [_sum]. Metric names are sanitized to [[a-zA-Z0-9_:]].
-    [namespace] defaults to ["zion"]. *)
+    [_sum]. Metric names are sanitized to [[a-zA-Z0-9_:]]. *)
 
 val parse_prometheus :
   string -> ((string * (string * string) list * float) list, string) result

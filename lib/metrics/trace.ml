@@ -187,7 +187,7 @@ let to_jsonl t =
     (events t);
   Buffer.contents b
 
-let to_chrome ?(cycles_per_us = 100.) t =
+let to_chrome t =
   let evs = events t in
   let b = Buffer.create 8192 in
   Buffer.add_string b "{\"traceEvents\":[";
@@ -222,7 +222,8 @@ let to_chrome ?(cycles_per_us = 100.) t =
       emit_sep ();
       let pid = if e.cvm < 0 then 0 else e.cvm in
       let tid = if e.hart < 0 then 0 else e.hart in
-      let ts = float_of_int e.ts /. cycles_per_us in
+      (* ledger cycles to microseconds on a 100 MHz clock *)
+      let ts = float_of_int e.ts /. 100. in
       Buffer.add_string b "{\"name\":";
       add_str b e.name;
       Buffer.add_string b

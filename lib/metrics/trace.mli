@@ -115,9 +115,9 @@ val to_jsonl : t -> string
 (** One JSON object per line:
     [{"ts":..,"ph":"B","name":..,"hart":..,"cvm":..,"vcpu":..,"args":{..}}]. *)
 
-val to_chrome : ?cycles_per_us:float -> t -> string
+val to_chrome : t -> string
 (** Chrome [trace_event] JSON (the [{"traceEvents":[...]}] object form).
     Spans and instants land on [pid] = CVM id (pid 0 is the host /
     Secure Monitor) and [tid] = hart; process-name metadata events label
-    each pid. [cycles_per_us] converts ledger cycles to the format's
-    microsecond timestamps and defaults to 100. (a 100 MHz clock). *)
+    each pid. Timestamps are ledger cycles in microseconds of a 100 MHz
+    clock. *)

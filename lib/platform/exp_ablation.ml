@@ -6,7 +6,10 @@ type block_size_point = {
 
 let stage2_cost c = Riscv.Cost.sm_fault_base c + c.Riscv.Cost.block_grab
 
-let block_size_sweep ?(pages = 512) () =
+(* Fresh pages touched by each ablation point. *)
+let pages = 512
+
+let block_size_sweep () =
   let c = Riscv.Cost.default in
   List.map
     (fun block_kb ->
@@ -30,7 +33,7 @@ type cache_ablation = {
   penalty_pct : float;
 }
 
-let page_cache_ablation ?(pages = 512) () =
+let page_cache_ablation () =
   let c = Riscv.Cost.default in
   let with_cache =
     let stage2 = (pages + 63) / 64 in

@@ -16,8 +16,8 @@ type block_size_point = {
   avg_fault_cycles : float;
 }
 
-val block_size_sweep : ?pages:int -> unit -> block_size_point list
-(** Touch [pages] (default 512) under block sizes 64 KiB – 1 MiB. *)
+val block_size_sweep : unit -> block_size_point list
+(** Touch 512 pages under block sizes 64 KiB – 1 MiB. *)
 
 type cache_ablation = {
   with_cache_avg : float;
@@ -25,7 +25,7 @@ type cache_ablation = {
   penalty_pct : float;
 }
 
-val page_cache_ablation : ?pages:int -> unit -> cache_ablation
+val page_cache_ablation : unit -> cache_ablation
 
 type hardened_point = { shared_pages : int; entry_cycles : int }
 

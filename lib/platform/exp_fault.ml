@@ -18,7 +18,8 @@ let mean = function
 let touch_and_stop pages =
   Guest.Gprog.touch_pages ~start_gpa:0x800000L ~pages @ Guest.Gprog.shutdown
 
-let run ?(pages = 200) () =
+let run () =
+  let pages = 200 in
   (* Normal VM arm. *)
   let tb_n = Testbed.create () in
   let nvm = Testbed.nvm tb_n (touch_and_stop pages) in

@@ -21,8 +21,8 @@ type report = {
           snapshot diff), sorted by descending delta *)
 }
 
-val run : ?pages:int -> unit -> report
-(** Default 200 pages touched per VM (enough to exhaust the CVM arm's
+val run : unit -> report
+(** 200 pages touched per VM (enough to exhaust the CVM arm's
     deliberately small pool and sample a stage-3 expansion). *)
 
 val paper : (string * float) list

@@ -95,10 +95,8 @@ type traced_stats = {
   t_outcome : Hypervisor.Kvm.cvm_outcome;
 }
 
-let run_traced ?(ops = [ "SET"; "GET" ]) ?(requests = 10) ?(key_space = 4)
-    ?profile_interval ?(quantum = Testbed.quantum_cycles)
-    ?(max_slices = 400) ?on_slice () =
-  if ops = [] then invalid_arg "Exp_redis.run_traced: empty op list";
+let run_traced ?(requests = 10) ?profile_interval
+    ?(quantum = Testbed.quantum_cycles) ?(max_slices = 400) ?on_slice () =
   let tb = Testbed.create () in
   let mon = tb.Testbed.monitor in
   let tr = Zion.Monitor.trace mon in
@@ -107,11 +105,12 @@ let run_traced ?(ops = [ "SET"; "GET" ]) ?(requests = 10) ?(key_space = 4)
   | Some interval -> Zion.Monitor.enable_profiler ~interval mon
   | None -> ());
   let server = Workloads.Redis.create () in
-  let nops = List.length ops in
+  (* SET and GET in turn over four keys *)
   let reqs =
     List.init requests (fun seq ->
-        Workloads.Redis.request_for ~op:(List.nth ops (seq mod nops))
-          ~key_space ~seq)
+        Workloads.Redis.request_for
+          ~op:(if seq mod 2 = 0 then "SET" else "GET")
+          ~key_space:4 ~seq)
   in
   (* One TX (request) + one RX fill (reply head) per request, fully
      unrolled: distinct requests land on distinct guest code pages,

@@ -40,17 +40,15 @@ type traced_stats = {
 }
 
 val run_traced :
-  ?ops:string list ->
   ?requests:int ->
-  ?key_space:int ->
   ?profile_interval:int ->
   ?quantum:int ->
   ?max_slices:int ->
   ?on_slice:(int -> Testbed.t -> unit) ->
   unit ->
   Testbed.t * traced_stats
-(** Run a real CVM guest that sends [requests] RESP commands (cycling
-    through [ops], default [SET]/[GET]) over virtio-net to the
+(** Run a real CVM guest that sends [requests] RESP commands (SET and
+    GET in turn, over four keys) over virtio-net to the
     host-side Redis server, with the platform flight recorder enabled
     and span contexts propagated end to end: each request is a
     ["resp.request"] root span whose context stamps the world-switch,

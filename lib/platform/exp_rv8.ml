@@ -44,7 +44,7 @@ let price_arms ~(monitor : Zion.Monitor.t) ~locality ~ops ~target_gcycles =
   Macro_vm.add_faults cvm ~pages:startup_fault_pages;
   (Macro_vm.total_cycles normal, Macro_vm.total_cycles cvm)
 
-let run_table1 ?(scale = 1) () =
+let run_table1 () =
   let tb = Testbed.create () in
   let monitor = tb.Testbed.monitor in
   List.map
@@ -71,7 +71,7 @@ let run_table1 ?(scale = 1) () =
           Metrics.Stats.pct_change ~baseline:n_cycles c_cycles;
         paper_overhead_pct;
       })
-    (Workloads.Rv8.run_all ~scale)
+    (Workloads.Rv8.run_all ~scale:1)
 
 let average_overhead rows =
   Metrics.Stats.mean
@@ -84,10 +84,10 @@ type coremark = {
   drop_pct : float;
 }
 
-let run_coremark ?(iterations = 3) () =
+let run_coremark () =
   let tb = Testbed.create () in
   let monitor = tb.Testbed.monitor in
-  let result = Workloads.Coremark.run ~iterations in
+  let result = Workloads.Coremark.run ~iterations:3 in
   let crc_ok = result.Workloads.Coremark.crc = Workloads.Coremark.reference_crc in
   (* CoreMark reports iterations/second over a multi-second run (the
      EEMBC rules demand >= 10 s). Replicate the measured mix up to a

@@ -16,9 +16,8 @@ type row = {
   paper_overhead_pct : float;
 }
 
-val run_table1 : ?scale:int -> unit -> row list
-(** All eight RV8 kernels; [scale] enlarges the simulation inputs
-    (default 1). *)
+val run_table1 : unit -> row list
+(** All eight RV8 kernels at simulation scale 1. *)
 
 val average_overhead : row list -> float
 
@@ -29,7 +28,9 @@ type coremark = {
   drop_pct : float;
 }
 
-val run_coremark : ?iterations:int -> unit -> coremark
+val run_coremark : unit -> coremark
+(** Three measured CoreMark iterations, replicated to a paper-length
+    run. *)
 
 val paper_table1 : (string * float * float) list
 (** (name, normal-VM 10^9 cycles, CVM overhead %) from Table I. *)

@@ -127,7 +127,8 @@ type report = {
   long_path : switch_stats;
 }
 
-let run ?(iterations = 200) () =
+let run () =
+  let iterations = 200 (* as in the paper *) in
   let timer ~long_path =
     let config = { Zion.Monitor.default_config with long_path } in
     (measure_timer_switches ~config ~iterations).sw

@@ -51,8 +51,8 @@ type report = {
   long_path : switch_stats;
 }
 
-val run : ?iterations:int -> unit -> report
-(** Default 200 iterations, as in the paper. *)
+val run : unit -> report
+(** 200 iterations per arm, as in the paper. *)
 
 val paper : (string * float) list
 (** The paper's numbers for side-by-side printing. *)

@@ -148,6 +148,50 @@ let format_tests =
         let p1 = Zion.Migrate.seal ~nonce:"pin" im
         and p2 = Zion.Migrate.seal ~nonce:"pin" im in
         Alcotest.(check bool) "pinned nonce is stable" true (String.equal p1 p2));
+    Alcotest.test_case "ZSEAL, ZMIG2 and ZMP1 bytes are pinned" `Quick
+      (fun () ->
+        (* Round trips and tamper checks pass any self-consistent format;
+           these digests pin the bytes themselves, so a refactor of the
+           envelope or the wire codec cannot move them unnoticed. *)
+        let sealed =
+          Zion.Attest.seal_data
+            ~measurement:(Crypto.Sha256.digest "image")
+            "top secret"
+        in
+        let blob =
+          Zion.Migrate.seal ~nonce:"0123456789abcdef" (sample_image ())
+        in
+        let module Mp = Zion.Migrate_proto in
+        let pkt p_payload =
+          Mp.encode
+            {
+              Mp.p_session = "pin-session";
+              p_epoch = 3;
+              p_ctx = { Metrics.Span.trace_id = 7; span_id = 8; parent_id = 9 };
+              p_payload;
+            }
+        in
+        let wire =
+          pkt
+            (Mp.Offer
+               { total = 5; blob_len = 4200; chunk_size = 1024; tag = "tag" })
+          ^ pkt (Mp.Chunk { seq = 2; data = "chunk-bytes" })
+          ^ pkt (Mp.Status (Mp.St_prepared "tag"))
+        in
+        List.iter
+          (fun (what, bytes, digest) ->
+            Alcotest.(check string) what digest (Crypto.Sha256.hex bytes))
+          [
+            ( "ZSEAL",
+              sealed,
+              "c3f2428589d53952feebf1755b98c9b5ffcce0a55ab03d2844b975e9c33453b9" );
+            ( "ZMIG2",
+              blob,
+              "f8f7d4f6a624ef89db615a3e559608639c8a885ae90cf982f90513dae0bc30ac" );
+            ( "ZMP1",
+              wire,
+              "56f893a54be09df8497e62e9503c300571b05ca551edb6357a055b20a8d83914" );
+          ]);
   ]
 
 (* ---------- end-to-end migration ---------- *)

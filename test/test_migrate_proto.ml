@@ -113,12 +113,12 @@ let wire_tests =
 
 (* ---------- protocol runs ---------- *)
 
-let run_migration ?faults ?seed ?crash ?config mon_pair =
+let run_migration ?faults ?seed ?crash mon_pair =
   let src, dst = mon_pair in
   let cvm = make_cvm src in
   let session = "mig-test" in
   let r =
-    Mg.run ?config ?faults ?seed ?crash ~src ~dst ~cvm ~session ()
+    Mg.run ?faults ?seed ?crash ~src ~dst ~cvm ~session ()
   in
   (cvm, session, r)
 
@@ -216,12 +216,16 @@ let proto_tests =
         let faults = { Ch.no_faults with Ch.drop = 1.0 } in
         let src = make_platform () and dst = make_platform () in
         let cvm, session, r = run_migration ~faults ~seed:7 (src, dst) in
+        let budget =
+          match Zion.Monitor.migrate_session src ~role:`Out ~session with
+          | Some info -> info.Zion.Monitor.mi_budget
+          | None -> Alcotest.fail "no outbound session record"
+        in
         (match r with
         | Ok (Mg.Aborted _, stats) ->
             Alcotest.(check bool)
               "retries were bounded" true
-              (stats.Mg.retransmits
-               <= Mp.default_config.Mp.retry_budget + 2)
+              (stats.Mg.retransmits <= budget + 2)
         | Ok (Mg.Committed _, _) ->
             Alcotest.fail "committed through a dead channel"
         | Error e -> Alcotest.fail e);

@@ -266,87 +266,16 @@ let attack_tests =
       (fun () ->
         let _, monitor, kvm = make_stack () in
         (* Stop the guest at an MMIO read so a reply is pending. *)
-        let prog =
-          Guest.Gprog.blk_read_first_byte ~sector:0 ~len:16
-          @ Guest.Gprog.shutdown
+        let id =
+          Hypervisor.Kvm.cvm_id (Hypervisor.Attacks.park_at_mmio_read kvm)
         in
-        let h = make_guest kvm prog in
-        let id = Hypervisor.Kvm.cvm_id h in
-        let rec to_mmio_read n =
-          if n > 50 then Alcotest.fail "no MMIO read exit";
-          match
-            Zion.Monitor.run_vcpu monitor ~hart:0 ~cvm:id ~vcpu:0
-              ~max_steps:100000
-          with
-          | Ok (Zion.Monitor.Exit_mmio m) when not m.Zion.Vcpu.mmio_write ->
-              ()
-          | Ok (Zion.Monitor.Exit_mmio m) -> begin
-              (* ack writes along the way *)
-              ignore m;
-              (match Zion.Monitor.shared_vcpu_of monitor ~cvm:id ~vcpu:0 with
-              | Some sh ->
-                  sh.Zion.Vcpu.s_pc_advance <- 4L;
-                  sh.Zion.Vcpu.s_data <- 0L
-              | None -> ());
-              to_mmio_read (n + 1)
-            end
-          | Ok (Zion.Monitor.Exit_shared_fault gpa) -> begin
-              (match
-                 Hypervisor.Shared_map.map_fresh
-                   (Hypervisor.Kvm.cvm_shared_map h)
-                   ~gpa:(Xword.align_down gpa 4096L)
-               with
-              | Ok _ -> ()
-              | Error e -> Alcotest.fail e);
-              to_mmio_read (n + 1)
-            end
-          | Ok _ -> to_mmio_read (n + 1)
-          | Error e -> Alcotest.fail (Zion.Ecall.error_to_string e)
-        in
-        to_mmio_read 0;
         expect_blocked "register redirect"
           (Hypervisor.Attacks.tamper_mmio_reply_register monitor ~cvm:id));
     Alcotest.test_case "attack suite: bogus pc advance" `Quick (fun () ->
         let _, monitor, kvm = make_stack () in
-        let prog =
-          Guest.Gprog.blk_read_first_byte ~sector:0 ~len:16
-          @ Guest.Gprog.shutdown
+        let id =
+          Hypervisor.Kvm.cvm_id (Hypervisor.Attacks.park_at_mmio_read kvm)
         in
-        let h = make_guest kvm prog in
-        let id = Hypervisor.Kvm.cvm_id h in
-        (* Drive until the read MMIO exit using the KVM helper, then
-           tamper before the reply. Easiest: run one monitor call at a
-           time as above. *)
-        let rec to_mmio_read n =
-          if n > 50 then Alcotest.fail "no MMIO read exit";
-          match
-            Zion.Monitor.run_vcpu monitor ~hart:0 ~cvm:id ~vcpu:0
-              ~max_steps:100000
-          with
-          | Ok (Zion.Monitor.Exit_mmio m) when not m.Zion.Vcpu.mmio_write ->
-              ()
-          | Ok (Zion.Monitor.Exit_mmio _) -> begin
-              (match Zion.Monitor.shared_vcpu_of monitor ~cvm:id ~vcpu:0 with
-              | Some sh ->
-                  sh.Zion.Vcpu.s_pc_advance <- 4L;
-                  sh.Zion.Vcpu.s_data <- 0L
-              | None -> ());
-              to_mmio_read (n + 1)
-            end
-          | Ok (Zion.Monitor.Exit_shared_fault gpa) -> begin
-              (match
-                 Hypervisor.Shared_map.map_fresh
-                   (Hypervisor.Kvm.cvm_shared_map h)
-                   ~gpa:(Xword.align_down gpa 4096L)
-               with
-              | Ok _ -> ()
-              | Error e -> Alcotest.fail e);
-              to_mmio_read (n + 1)
-            end
-          | Ok _ -> to_mmio_read (n + 1)
-          | Error e -> Alcotest.fail (Zion.Ecall.error_to_string e)
-        in
-        to_mmio_read 0;
         expect_blocked "pc advance"
           (Hypervisor.Attacks.tamper_mmio_pc_advance monitor ~cvm:id));
     Alcotest.test_case "attack suite: vCPU state theft" `Quick (fun () ->
