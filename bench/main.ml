@@ -700,18 +700,17 @@ let bench_exitless () =
     "iozone CVM mean: %.2f -> %.2f MB/s (+%.2f%%); redis CVM throughput \
      drop: %.2f%% -> %.2f%%\n"
     io_f io_l gain_pct drop_f drop_l;
-  (* Ring-poison sweep: every packaged vector against a fresh stack. *)
-  let vectors = Hypervisor.Attacks.ring_vectors in
+  (* Ring-poison sweep: the attack suite's ring vectors, each against a
+     fresh stack. *)
+  let vectors = Platform.Attacks.suite [ Ring ] in
   let blocked = ref 0 in
   List.iter
-    (fun (name, attack) ->
-      let tb = Platform.Testbed.create () in
-      let h = Platform.Testbed.cvm tb (Guest.Gprog.hello "p") in
-      match attack tb.Platform.Testbed.kvm h with
-      | Hypervisor.Attacks.Blocked why ->
+    (fun (name, outcome) ->
+      match outcome with
+      | Platform.Attacks.Blocked why ->
           incr blocked;
           Printf.printf "  poison %-17s blocked: %s\n" name why
-      | Hypervisor.Attacks.Leaked why ->
+      | Platform.Attacks.Leaked why ->
           Printf.printf "  poison %-17s LEAKED: %s\n" name why)
     vectors;
   write_result "BENCH_exitless.json"

@@ -3,7 +3,7 @@
 
    Subcommands:
      boot         boot a confidential VM that prints a message
-     attacks      run the malicious-hypervisor suite (Hypervisor.Attacks)
+     attacks      run every hostile-host attack vector (Platform.Attacks)
      audit        sweep the platform's security invariants after a boot
      recover      stage an SM crash at a journal point and recover
      fuzz         fault-inject the SM under a hostile hypervisor, or
@@ -15,10 +15,7 @@
                   / folded stacks)
      top          drive a traced Redis CVM and print live per-tenant
                   health snapshots
-     io           poison a live exitless virtio ring and verify the
-                  degradation to exitful kicks
-     channel      attested inter-CVM channel demo and hostile-peer
-                  vectors
+     channel      attested inter-CVM channel demo
      costs        dump the calibrated cost model *)
 
 open Cmdliner
@@ -51,62 +48,49 @@ let boot_cmd =
 
 (* ---------- attacks ---------- *)
 
-(* The one verdict printer: each vector's outcome as a table row or a
-   JSON member. Exits 1 if any vector leaked. *)
-let print_verdicts ~json outcomes =
-  let blocked = function
-    | Hypervisor.Attacks.Blocked why -> (true, why)
-    | Hypervisor.Attacks.Leaked why -> (false, why)
-  in
-  if json then begin
-    let open Metrics.Export in
-    print_endline
-      (json_to_string
-         (Obj
-            (List.map
-               (fun (n, o) ->
-                 let b, why = blocked o in
-                 (n, Obj [ ("blocked", Bool b); ("how", Str why) ]))
-               outcomes)))
-  end
-  else
-    Metrics.Table.print
-      ~header:[ "vector"; "verdict"; "defence" ]
-      (List.map
-         (fun (n, o) ->
-           let b, why = blocked o in
-           [ n; (if b then "BLOCKED" else "LEAKED"); why ])
-         outcomes);
-  if List.exists (fun (_, o) -> not (fst (blocked o))) outcomes then exit 1
-
-let vector_names vectors =
-  String.concat " | " (List.map fst vectors @ [ "all" ])
-
-(* [name]'s vector, or every vector for "all"; exits 2 on an unknown
-   name. *)
-let choose_vectors vectors name =
-  if name = "all" then vectors
-  else
-    match List.assoc_opt name vectors with
-    | Some a -> [ (name, a) ]
-    | None ->
-        prerr_endline
-          (Printf.sprintf "unknown vector '%s' (%s)" name
-             (vector_names vectors));
-        exit 2
-
 let attacks_cmd =
-  let run () =
-    let tb = Platform.Testbed.create () in
-    print_verdicts ~json:false
-      (Hypervisor.Attacks.host_suite tb.Platform.Testbed.kvm)
+  let json =
+    Arg.(
+      value & flag
+      & info [ "json" ]
+          ~doc:"Emit the verdicts as a JSON object instead of a table.")
+  in
+  let run json =
+    let verdicts =
+      List.map
+        (fun (name, outcome) ->
+          match outcome with
+          | Platform.Attacks.Blocked why -> (name, true, why)
+          | Platform.Attacks.Leaked why -> (name, false, why))
+        (Platform.Attacks.suite [ Host; Ring; Channel ])
+    in
+    if json then begin
+      let open Metrics.Export in
+      print_endline
+        (json_to_string
+           (Obj
+              (List.map
+                 (fun (name, b, why) ->
+                   (name, Obj [ ("blocked", Bool b); ("how", Str why) ]))
+                 verdicts)))
+    end
+    else
+      Metrics.Table.print
+        ~header:[ "vector"; "verdict"; "defence" ]
+        (List.map
+           (fun (name, b, why) ->
+             [ name; (if b then "BLOCKED" else "LEAKED"); why ])
+           verdicts);
+    if List.exists (fun (_, b, _) -> not b) verdicts then exit 1
   in
   Cmd.v
     (Cmd.info "attacks"
        ~doc:
-         "Run the malicious-hypervisor attack suite; exits 1 if any \
-          vector leaks")
-    Term.(const run $ const ())
+         "Run every hostile-host attack vector, each on the platform it \
+          needs: the host's moves against the pool, the shared vCPU and \
+          device DMA, the exitless-ring poisons and the hostile-peer \
+          channel vectors; exits 1 if any vector leaks")
+    Term.(const run $ json)
 
 (* ---------- audit ---------- *)
 
@@ -257,13 +241,6 @@ let fuzz_cmd =
       value & opt int 2000
       & info [ "iters" ] ~docv:"N" ~doc:"Number of fuzzing iterations.")
   in
-  let pool_mib =
-    Arg.(
-      value & opt int 2
-      & info [ "pool-mib" ] ~docv:"MIB"
-          ~doc:"Initial secure pool size (small pools exercise the \
-                slow-path expansion protocol more).")
-  in
   let no_retention =
     Arg.(
       value & flag
@@ -274,22 +251,6 @@ let fuzz_cmd =
              and a clean audit are required either way; the default \
              (retention on) puts the precise-shootdown machinery under \
              fire.")
-  in
-  let channels =
-    Arg.(
-      value & flag
-      & info [ "channels" ]
-          ~doc:
-            "Explicitly include the attested inter-CVM channel actions \
-             (on by default): channel open with mutual attestation, \
-             ring-header poisoning (must degrade the channel, never the \
-             endpoints), and adversarial-argument channel calls.")
-  in
-  let no_channels =
-    Arg.(
-      value & flag
-      & info [ "no-channels" ]
-          ~doc:"Fuzz without the inter-CVM channel actions.")
   in
   let json =
     Arg.(
@@ -310,7 +271,7 @@ let fuzz_cmd =
              ignores $(b,--seed) and $(b,--iters).")
   in
   let run_sm_crash json_out =
-    let r = Hypervisor.Chaos.sm_crash_sweep () in
+    let r = Platform.Chaos.sm_crash_sweep () in
     if json_out then begin
       let open Metrics.Export in
       let n = num_of_int in
@@ -322,31 +283,28 @@ let fuzz_cmd =
                   Obj
                     (List.map
                        (fun (op, pts) -> (op, n pts))
-                       r.Hypervisor.Chaos.sm_ops) );
-                ("cases", n r.Hypervisor.Chaos.sm_cases);
-                ("crashes", n r.Hypervisor.Chaos.sm_crashes);
-                ("recoveries", n r.Hypervisor.Chaos.sm_recoveries);
-                ("rolled_forward", n r.Hypervisor.Chaos.sm_rolled_forward);
-                ("rolled_back", n r.Hypervisor.Chaos.sm_rolled_back);
+                       r.Platform.Chaos.sm_ops) );
+                ("cases", n r.Platform.Chaos.sm_cases);
+                ("crashes", n r.Platform.Chaos.sm_crashes);
+                ("recoveries", n r.Platform.Chaos.sm_recoveries);
+                ("rolled_forward", n r.Platform.Chaos.sm_rolled_forward);
+                ("rolled_back", n r.Platform.Chaos.sm_rolled_back);
                 ( "failures",
                   List
                     (List.map
                        (fun f -> Str f)
-                       r.Hypervisor.Chaos.sm_failures) );
-                ("survived", Bool (Hypervisor.Chaos.sm_survived r));
+                       r.Platform.Chaos.sm_failures) );
+                ("survived", Bool (Platform.Chaos.sm_survived r));
               ]))
     end
-    else Format.printf "%a@?" Hypervisor.Chaos.pp_sm_report r;
-    if not (Hypervisor.Chaos.sm_survived r) then exit 1
+    else Format.printf "%a@?" Platform.Chaos.pp_sm_report r;
+    if not (Platform.Chaos.sm_survived r) then exit 1
   in
-  let run seed iters pool_mib no_retention channels no_channels json_out
-      sm_crash =
-    ignore channels;
+  let run seed iters no_retention json_out sm_crash =
     if sm_crash then run_sm_crash json_out
     else begin
       let r =
-        Hypervisor.Chaos.run ~pool_mib ~tlb_retention:(not no_retention)
-          ~channels:(not no_channels) ~seed ~iters ()
+        Platform.Chaos.run ~tlb_retention:(not no_retention) ~seed ~iters ()
       in
     if json_out then begin
       let open Metrics.Export in
@@ -355,43 +313,43 @@ let fuzz_cmd =
         (json_to_string
            (Obj
               [
-                ("iterations", n r.Hypervisor.Chaos.iterations);
-                ("calls", n r.Hypervisor.Chaos.calls);
-                ("ok_calls", n r.Hypervisor.Chaos.ok_calls);
+                ("iterations", n r.Platform.Chaos.iterations);
+                ("calls", n r.Platform.Chaos.calls);
+                ("ok_calls", n r.Platform.Chaos.ok_calls);
                 ( "error_calls",
                   Obj
                     (List.map
                        (fun (label, count) -> (label, n count))
-                       r.Hypervisor.Chaos.error_calls) );
-                ("uncaught", n r.Hypervisor.Chaos.uncaught);
-                ("audits", n r.Hypervisor.Chaos.audits);
+                       r.Platform.Chaos.error_calls) );
+                ("uncaught", n r.Platform.Chaos.uncaught);
+                ("audits", n r.Platform.Chaos.audits);
                 ( "violations",
                   List
                     (List.map
                        (fun v -> Str v)
-                       r.Hypervisor.Chaos.violations) );
-                ("quarantines", n r.Hypervisor.Chaos.quarantines);
+                       r.Platform.Chaos.violations) );
+                ("quarantines", n r.Platform.Chaos.quarantines);
                 ( "quarantines_reclaimed",
-                  n r.Hypervisor.Chaos.quarantines_reclaimed );
-                ("cvms_created", n r.Hypervisor.Chaos.cvms_created);
-                ("cvms_destroyed", n r.Hypervisor.Chaos.cvms_destroyed);
-                ("migrations", n r.Hypervisor.Chaos.migrations);
+                  n r.Platform.Chaos.quarantines_reclaimed );
+                ("cvms_created", n r.Platform.Chaos.cvms_created);
+                ("cvms_destroyed", n r.Platform.Chaos.cvms_destroyed);
+                ("migrations", n r.Platform.Chaos.migrations);
                 ( "migrations_committed",
-                  n r.Hypervisor.Chaos.migrations_committed );
+                  n r.Platform.Chaos.migrations_committed );
                 ( "migrations_aborted",
-                  n r.Hypervisor.Chaos.migrations_aborted );
-                ("ring_poisons", n r.Hypervisor.Chaos.ring_poisons);
-                ("ring_fallbacks", n r.Hypervisor.Chaos.ring_fallbacks);
-                ("chan_opens", n r.Hypervisor.Chaos.chan_opens);
-                ("chan_poisons", n r.Hypervisor.Chaos.chan_poisons);
+                  n r.Platform.Chaos.migrations_aborted );
+                ("ring_poisons", n r.Platform.Chaos.ring_poisons);
+                ("ring_fallbacks", n r.Platform.Chaos.ring_fallbacks);
+                ("chan_opens", n r.Platform.Chaos.chan_opens);
+                ("chan_poisons", n r.Platform.Chaos.chan_poisons);
                 ( "chan_degradations",
-                  n r.Hypervisor.Chaos.chan_degradations );
-                ("pool_clean", Bool r.Hypervisor.Chaos.pool_clean);
-                ("survived", Bool (Hypervisor.Chaos.survived r));
+                  n r.Platform.Chaos.chan_degradations );
+                ("pool_clean", Bool r.Platform.Chaos.pool_clean);
+                ("survived", Bool (Platform.Chaos.survived r));
               ]))
       end
-      else Format.printf "%a@?" Hypervisor.Chaos.pp_report r;
-      if not (Hypervisor.Chaos.survived r) then exit 1
+      else Format.printf "%a@?" Platform.Chaos.pp_report r;
+      if not (Platform.Chaos.survived r) then exit 1
     end
   in
   Cmd.v
@@ -400,9 +358,7 @@ let fuzz_cmd =
          "Fault-inject the Secure Monitor under a hostile fuzzing \
           hypervisor (or, with $(b,--sm-crash), the exhaustive \
           crash-at-every-journal-point sweep) and report survival")
-    Term.(
-      const run $ seed $ iters $ pool_mib $ no_retention $ channels
-      $ no_channels $ json $ sm_crash)
+    Term.(const run $ seed $ iters $ no_retention $ json $ sm_crash)
 
 (* ---------- migrate ---------- *)
 
@@ -717,40 +673,7 @@ let top_cmd =
           quarantine flags)")
     Term.(const run $ requests_arg $ refresh)
 
-(* ---------- io (exitless rings) ---------- *)
-
-let io_cmd =
-  let poison =
-    Arg.(
-      value
-      & opt string "all"
-      & info [ "poison" ] ~docv:"VECTOR"
-          ~doc:
-            ("Ring-poison vector to run ("
-            ^ vector_names Hypervisor.Attacks.ring_vectors
-            ^ ")."))
-  in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the result as JSON instead of a table.")
-  in
-  let run name json =
-    print_verdicts ~json
-      (List.map
-         (fun (n, attack) ->
-           let tb = Platform.Testbed.create () in
-           let h = Platform.Testbed.cvm tb (Guest.Gprog.hello "p") in
-           (n, attack tb.Platform.Testbed.kvm h))
-         (choose_vectors Hypervisor.Attacks.ring_vectors name))
-  in
-  Cmd.v
-    (Cmd.info "io"
-       ~doc:
-         "Poison a live exitless virtio ring ($(b,--poison)) and verify \
-          the Check-after-Load degradation to exitful kicks; exits 1 if \
-          any vector leaks")
-    Term.(const run $ poison $ json)
+(* ---------- channel ---------- *)
 
 let channel_cmd =
   let msg =
@@ -762,45 +685,12 @@ let channel_cmd =
             "Message CVM A sends to CVM B over the attested channel \
              (at most the 2032-byte ring payload).")
   in
-  let attack =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "attack" ] ~docv:"VECTOR"
-          ~doc:
-            ("Instead of the round-trip demo, run a hostile-peer attack \
-              vector ("
-            ^ vector_names Hypervisor.Attacks.chan_vectors
-            ^ ") and report the verdict. Every vector must come back \
-               BLOCKED: the blast radius is the channel, never the \
-               tenant."))
-  in
   let json =
     Arg.(
       value & flag
       & info [ "json" ] ~doc:"Emit the result as JSON instead of a table.")
   in
-  let run_attack name json =
-    print_verdicts ~json
-      (List.map
-         (fun (n, attack) ->
-           (* Entry validation on: the map-ring and quarantined-peer
-              vectors go through the SM's shared-subtree sweep. *)
-           let tb =
-             Platform.Testbed.create
-               ~config:
-                 {
-                   Zion.Monitor.default_config with
-                   validate_shared_on_entry = true;
-                 }
-               ()
-           in
-           let a = Platform.Testbed.cvm tb (Guest.Gprog.hello "a") in
-           let b = Platform.Testbed.cvm tb (Guest.Gprog.hello "b") in
-           (n, attack tb.Platform.Testbed.kvm a b))
-         (choose_vectors Hypervisor.Attacks.chan_vectors name))
-  in
-  let run_demo msg json_out =
+  let run msg json_out =
     let msg =
       if String.length msg > Zion.Layout.chan_max_msg then
         String.sub msg 0 Zion.Layout.chan_max_msg
@@ -899,20 +789,14 @@ let channel_cmd =
         end;
         if not (done_ok && audit_clean) then exit 1
   in
-  let run msg attack json_out =
-    match attack with
-    | Some v -> run_attack v json_out
-    | None -> run_demo msg json_out
-  in
   Cmd.v
     (Cmd.info "channel"
        ~doc:
          "Attested inter-CVM channels: run the two-guest round-trip demo \
           (grant, mutual attestation verification, accept, guest send and \
           receive over the shared ring, revoke with scrub and precise \
-          shootdown), or run a hostile-peer attack vector ($(b,--attack)) \
-          and verify the channel — never the tenant — absorbs the blast")
-    Term.(const run $ msg $ attack $ json)
+          shootdown)")
+    Term.(const run $ msg $ json)
 
 (* ---------- costs ---------- *)
 
@@ -948,6 +832,5 @@ let () =
        (Cmd.group (Cmd.info "zionctl" ~doc)
           [
             boot_cmd; attacks_cmd; audit_cmd; recover_cmd; fuzz_cmd;
-            migrate_cmd; telemetry_cmd; top_cmd; io_cmd; channel_cmd;
-            costs_cmd;
+            migrate_cmd; telemetry_cmd; top_cmd; channel_cmd; costs_cmd;
           ]))

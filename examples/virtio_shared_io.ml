@@ -104,9 +104,9 @@ let () =
   (* A Byzantine host rewrites a descriptor under the guest's feet:
      Check-after-Load strikes out and the association degrades to
      exitful kicks — the CVM itself keeps running. *)
-  (match Hypervisor.Attacks.ring_poison_desc_len kvm2 h2 with
-  | Hypervisor.Attacks.Blocked why -> Printf.printf "ring poison: %s\n" why
-  | Hypervisor.Attacks.Leaked why ->
+  (match Platform.Attacks.ring_poison_desc_len kvm2 h2 with
+  | Platform.Attacks.Blocked why -> Printf.printf "ring poison: %s\n" why
+  | Platform.Attacks.Leaked why ->
       Printf.printf "RING POISON LEAKED: %s\n" why);
   Printf.printf "exitless still bound: %b (fallback quarantined it)\n"
     (Hypervisor.Kvm.exitless_active kvm2 h2)

@@ -47,7 +47,7 @@ val max_nonce_len : int
 
 val valid_nonce : string -> bool
 (** 1..[max_nonce_len] bytes. The [Monitor] entry points reject
-    anything else with [Sm_error.Invalid_param] before reaching
+    anything else with [Ecall.Invalid_param] before reaching
     [make_report]; the raise below is the defence-in-depth backstop. *)
 
 val make_report :

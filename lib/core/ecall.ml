@@ -13,9 +13,7 @@ let fid_guest_chan_recv = 26L
 let sbi_legacy_putchar = 1L
 let sbi_legacy_shutdown = 8L
 
-(* The error type is owned by [Sm_error]; re-exported here so ABI
-   clients keep writing [Ecall.Invalid_param] etc. *)
-type error = Sm_error.t =
+type error =
   | Invalid_param
   | Denied
   | No_memory
@@ -27,5 +25,28 @@ type error = Sm_error.t =
   | Quarantined
   | Internal of string
 
-let error_code = Sm_error.code
-let error_to_string = Sm_error.to_string
+let error_code = function
+  | Invalid_param -> -3L
+  | Denied -> -4L
+  | No_memory -> -5L
+  | Not_found -> -6L
+  | Bad_state -> -7L
+  | Invalid_address -> -8L
+  | Already_exists -> -9L
+  | No_pending_exit -> -10L
+  | Quarantined -> -11L
+  | Internal _ -> -12L
+
+let error_to_string = function
+  | Invalid_param -> "invalid parameter"
+  | Denied -> "access denied"
+  | No_memory -> "out of secure memory"
+  | Not_found -> "no such object"
+  | Bad_state -> "object in wrong state"
+  | Invalid_address -> "address out of range or misaligned"
+  | Already_exists -> "object already exists"
+  | No_pending_exit -> "no pending exit"
+  | Quarantined -> "CVM is quarantined"
+  | Internal msg ->
+      if msg = "" then "internal monitor fault"
+      else "internal monitor fault: " ^ msg

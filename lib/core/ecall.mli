@@ -36,21 +36,39 @@ val fid_guest_chan_recv : int64
 val sbi_legacy_putchar : int64
 val sbi_legacy_shutdown : int64
 
-type error = Sm_error.t =
-  | Invalid_param
-  | Denied
-  | No_memory
-  | Not_found
-  | Bad_state
-  | Invalid_address
-  | Already_exists
-  | No_pending_exit
+(** {2 The typed error ABI}
+
+    Every host-interface entry point of the monitor is {e total}: no
+    hypervisor-supplied input — bad CVM ids, wild addresses, wrong
+    lifecycle order, garbage blobs — may raise through the SM. Instead
+    each failure maps to one of the codes below, mirroring the style of
+    the SBI specification and the CoVE TSM / Keystone SM error ABIs.
+    Entry points validate their arguments for precise codes; the
+    monitor's [host_call] wrapper is the one backstop that turns an
+    escaped exception into [Internal] (DESIGN.md §8).
+
+    Codes [-3 .. -7] predate the hostile-host hardening work and stay
+    wire-stable; the remaining codes extend the ABI for it (see
+    DESIGN.md "Fault model & SM survivability"). *)
+
+type error =
+  | Invalid_param  (** a malformed argument (count, size, flag) *)
+  | Denied  (** the caller may not perform this operation *)
+  | No_memory  (** the secure pool is exhausted *)
+  | Not_found  (** no object with that identifier *)
+  | Bad_state  (** the object exists but its lifecycle forbids the call *)
+  | Invalid_address  (** an address outside the legal range or misaligned *)
+  | Already_exists  (** the object or mapping is already present *)
+  | No_pending_exit  (** a resume/reg-transfer call with no exit pending *)
   | Quarantined
+      (** the CVM was quarantined after a host protocol violation; only
+          [destroy_cvm] is accepted *)
   | Internal of string
-      (** See {!Sm_error} for the full fault-model contract: every
-          host-interface call returns one of these, never raises. *)
+      (** the SM caught an internal fault servicing the call and unwound
+          safely; the message is diagnostic only and not part of the
+          numeric ABI *)
 
 val error_code : error -> int64
-(** Negative SBI-style error codes ({!Sm_error.code}). *)
+(** Negative SBI-style error code; [Internal] collapses to one code. *)
 
 val error_to_string : error -> string

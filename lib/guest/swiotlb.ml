@@ -54,7 +54,7 @@ let create_pool () = { busy = Array.make slots false; live = 0 }
 
 let acquire p =
   let rec find i =
-    if i >= slots then Error Zion.Sm_error.No_memory
+    if i >= slots then Error Zion.Ecall.No_memory
     else if p.busy.(i) then find (i + 1)
     else begin
       p.busy.(i) <- true;
@@ -65,8 +65,8 @@ let acquire p =
   find 0
 
 let release p i =
-  if i < 0 || i >= slots then Error Zion.Sm_error.Invalid_param
-  else if not p.busy.(i) then Error Zion.Sm_error.Bad_state
+  if i < 0 || i >= slots then Error Zion.Ecall.Invalid_param
+  else if not p.busy.(i) then Error Zion.Ecall.Bad_state
   else begin
     p.busy.(i) <- false;
     p.live <- p.live - 1;

@@ -71,10 +71,10 @@ type pool
 
 val create_pool : unit -> pool
 
-val acquire : pool -> (int, Zion.Sm_error.t) result
+val acquire : pool -> (int, Zion.Ecall.error) result
 (** Take a free slot index; [Error No_memory] when exhausted. *)
 
-val release : pool -> int -> (unit, Zion.Sm_error.t) result
+val release : pool -> int -> (unit, Zion.Ecall.error) result
 (** Return a slot. [Error Invalid_param] out of range,
     [Error Bad_state] if the slot is not currently held. *)
 

@@ -194,11 +194,11 @@ let free_desc_id g =
   go 0
 
 let submit g ~op ~len ~data_gpa ~meta ?slot () =
-  if g.g_mode = Fallen_back then Error Zion.Sm_error.Bad_state
-  else if g.g_outstanding >= qsize then Error Zion.Sm_error.No_memory
+  if g.g_mode = Fallen_back then Error Zion.Ecall.Bad_state
+  else if g.g_outstanding >= qsize then Error Zion.Ecall.No_memory
   else
     match free_desc_id g with
-    | None -> Error Zion.Sm_error.No_memory
+    | None -> Error Zion.Ecall.No_memory
     | Some id ->
         let d = Sw.ring_desc_off id in
         let ok =
@@ -210,7 +210,7 @@ let submit g ~op ~len ~data_gpa ~meta ?slot () =
                ~off:(Sw.ring_avail_entry_off (g.avail_idx mod qsize))
                ~width:4 (Int64.of_int id)
         in
-        if not ok then Error Zion.Sm_error.Invalid_address
+        if not ok then Error Zion.Ecall.Invalid_address
         else begin
           g.shadow.(id) <-
             Some { s_gpa = data_gpa; s_len = len; s_op = op; s_meta = meta;

@@ -89,7 +89,7 @@ val submit :
   meta:int64 ->
   ?slot:int ->
   unit ->
-  (int, Zion.Sm_error.t) result
+  (int, Zion.Ecall.error) result
 (** Publish one descriptor and its avail entry without ringing any
     doorbell. Returns the descriptor id. [Error Bad_state] once the
     ring has fallen back, [Error No_memory] when the queue is full,

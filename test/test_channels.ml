@@ -399,15 +399,15 @@ let attack_case name vector =
       let ha = make_guest kvm (Guest.Gprog.hello "a") in
       let hb = make_guest kvm (Guest.Gprog.hello "b") in
       (match vector kvm ha hb with
-      | Hypervisor.Attacks.Blocked _ -> ()
-      | Hypervisor.Attacks.Leaked why -> Alcotest.fail ("LEAKED: " ^ why));
+      | Platform.Attacks.Blocked _ -> ()
+      | Platform.Attacks.Leaked why -> Alcotest.fail ("LEAKED: " ^ why));
       check_audit_clean mon name)
 
 let attack_tests =
   [
     attack_case "seq runaway degrades within budget"
-      Hypervisor.Attacks.chan_poison_seq;
-    attack_case "host alias of the live ring" Hypervisor.Attacks.chan_map_ring;
+      Platform.Attacks.chan_poison_seq;
+    attack_case "host alias of the live ring" Platform.Attacks.chan_map_ring;
     (* Control for the two alias vectors: the same leaf aimed at normal
        memory passes the hardened entry sweep. *)
     Alcotest.test_case "hardened entry accepts a shared alias of normal memory"
@@ -443,11 +443,24 @@ let attack_tests =
           (info mon chan).Zion.Monitor.ci_phase;
         check_audit_clean mon "normal alias");
     attack_case "stale-epoch accept refused"
-      Hypervisor.Attacks.chan_accept_stale_epoch;
+      Platform.Attacks.chan_accept_stale_epoch;
     attack_case "grantor destroyed mid-accept"
-      Hypervisor.Attacks.chan_peer_destroyed_mid_accept;
+      Platform.Attacks.chan_peer_destroyed_mid_accept;
     attack_case "endpoint quarantined at a live channel"
-      Hypervisor.Attacks.chan_quarantined_peer;
+      Platform.Attacks.chan_quarantined_peer;
+    (* A vector that cannot reach its attack is broken, not blocked. *)
+    Alcotest.test_case "a vector whose handshake fails raises" `Quick
+      (fun () ->
+        let _machine, mon, kvm = make_stack ~config:strict_config () in
+        let ha = make_guest kvm (Guest.Gprog.hello "a") in
+        let hb = make_guest kvm (Guest.Gprog.hello "b") in
+        (match Zion.Monitor.destroy_cvm mon ~cvm:(Kvm.cvm_id hb) with
+        | Ok () -> ()
+        | Error e -> fail_err "destroy" e);
+        match Platform.Attacks.chan_poison_seq kvm ha hb with
+        | exception Invalid_argument _ -> ()
+        | Platform.Attacks.Blocked why -> Alcotest.fail ("reported blocked: " ^ why)
+        | Platform.Attacks.Leaked why -> Alcotest.fail ("reported leaked: " ^ why));
   ]
 
 (* ---------- teardown hygiene ---------- *)

@@ -481,20 +481,20 @@ let engine_tests =
   [
     Alcotest.test_case "200-iteration chaos run survives (seed 7)" `Quick
       (fun () ->
-        let r = Hypervisor.Chaos.run ~seed:7 ~iters:200 () in
-        if not (Hypervisor.Chaos.survived r) then
-          Alcotest.failf "chaos run compromised:@\n%a" Hypervisor.Chaos.pp_report
+        let r = Platform.Chaos.run ~seed:7 ~iters:200 () in
+        if not (Platform.Chaos.survived r) then
+          Alcotest.failf "chaos run compromised:@\n%a" Platform.Chaos.pp_report
             r);
     Alcotest.test_case "chaos runs are deterministic for a seed" `Quick
       (fun () ->
-        let a = Hypervisor.Chaos.run ~seed:99 ~iters:120 () in
-        let b = Hypervisor.Chaos.run ~seed:99 ~iters:120 () in
-        Alcotest.(check int) "same calls" a.Hypervisor.Chaos.calls
-          b.Hypervisor.Chaos.calls;
-        Alcotest.(check int) "same oks" a.Hypervisor.Chaos.ok_calls
-          b.Hypervisor.Chaos.ok_calls;
-        Alcotest.(check int) "same quarantines" a.Hypervisor.Chaos.quarantines
-          b.Hypervisor.Chaos.quarantines);
+        let a = Platform.Chaos.run ~seed:99 ~iters:120 () in
+        let b = Platform.Chaos.run ~seed:99 ~iters:120 () in
+        Alcotest.(check int) "same calls" a.Platform.Chaos.calls
+          b.Platform.Chaos.calls;
+        Alcotest.(check int) "same oks" a.Platform.Chaos.ok_calls
+          b.Platform.Chaos.ok_calls;
+        Alcotest.(check int) "same quarantines" a.Platform.Chaos.quarantines
+          b.Platform.Chaos.quarantines);
   ]
 
 let suite =

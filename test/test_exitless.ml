@@ -77,7 +77,7 @@ let happy_tests =
              ~data_gpa:(Sw.slot_gpa 10) ~meta:21L ()
          with
         | Ok id -> Alcotest.(check int) "desc id" 0 id
-        | Error e -> Alcotest.fail (Zion.Sm_error.to_string e));
+        | Error e -> Alcotest.fail (Zion.Ecall.error_to_string e));
         Alcotest.(check int) "one completion serviced" 1
           (Kvm.service_exitless kvm h);
         let n, v = Kvm.exitless_poll kvm h in
@@ -111,7 +111,7 @@ let happy_tests =
              ~meta:0L ()
          with
         | Ok _ -> ()
-        | Error e -> Alcotest.fail (Zion.Sm_error.to_string e));
+        | Error e -> Alcotest.fail (Zion.Ecall.error_to_string e));
         ignore (Kvm.service_exitless kvm h : int);
         ignore (Kvm.exitless_poll kvm h : int * Ring.verdict);
         (* now pull the reply back through an RX descriptor *)
@@ -120,7 +120,7 @@ let happy_tests =
              ~data_gpa:(Sw.slot_gpa 12) ~meta:0L ()
          with
         | Ok _ -> ()
-        | Error e -> Alcotest.fail (Zion.Sm_error.to_string e));
+        | Error e -> Alcotest.fail (Zion.Ecall.error_to_string e));
         ignore (Kvm.service_exitless kvm h : int);
         let n, v = Kvm.exitless_poll kvm h in
         Alcotest.(check int) "rx consumed" 1 n;
@@ -195,7 +195,7 @@ let happy_tests =
               ()
           with
           | Ok _ -> ()
-          | Error e -> Alcotest.fail (Zion.Sm_error.to_string e)
+          | Error e -> Alcotest.fail (Zion.Ecall.error_to_string e)
         done;
         Alcotest.(check int) "batch serviced" 4 (Kvm.service_exitless kvm h);
         (match Kvm.exitless_host kvm h with
@@ -268,7 +268,7 @@ let run_poison_case (name, off, width, value, point) =
        ~meta:50L ()
    with
   | Ok _ -> ()
-  | Error e -> Alcotest.fail (Zion.Sm_error.to_string e));
+  | Error e -> Alcotest.fail (Zion.Ecall.error_to_string e));
   (match point with
   | Before_service ->
       ring_poke kvm h ~off ~width value;
@@ -345,7 +345,7 @@ let poison_tests =
              ~data_gpa:(Sw.slot_gpa 10) ~meta:60L ()
          with
         | Ok _ -> ()
-        | Error e -> Alcotest.fail (Zion.Sm_error.to_string e));
+        | Error e -> Alcotest.fail (Zion.Ecall.error_to_string e));
         ignore (Kvm.service_exitless kvm h : int);
         (* permanently rewound used index *)
         ring_poke kvm h ~off:Sw.ring_used_idx_off ~width:4 0xFFF0L;
@@ -378,7 +378,7 @@ let poison_tests =
               ~data_gpa:(Sw.slot_gpa slot) ~meta ()
           with
           | Ok id -> id
-          | Error e -> Alcotest.fail (Zion.Sm_error.to_string e)
+          | Error e -> Alcotest.fail (Zion.Ecall.error_to_string e)
         in
         let id0 = submit 10 80L in
         ignore (submit 11 81L : int);
@@ -419,7 +419,7 @@ let poison_tests =
              ~data_gpa:(Sw.slot_gpa 10) ~meta:61L ()
          with
         | Ok _ -> ()
-        | Error e -> Alcotest.fail (Zion.Sm_error.to_string e));
+        | Error e -> Alcotest.fail (Zion.Ecall.error_to_string e));
         (* the host never services; the guest polls into the watchdog *)
         let last = ref Ring.V_ok in
         for _ = 1 to Ring.watchdog_polls + 2 do
@@ -453,12 +453,12 @@ let hygiene_tests =
         | Ok () -> ()
         | Error _ -> Alcotest.fail "first release must succeed");
         (match Sw.release p s with
-        | Error Zion.Sm_error.Bad_state -> ()
+        | Error Zion.Ecall.Bad_state -> ()
         | Ok () -> Alcotest.fail "double release silently accepted"
         | Error e ->
-            Alcotest.fail ("wrong error: " ^ Zion.Sm_error.to_string e));
+            Alcotest.fail ("wrong error: " ^ Zion.Ecall.error_to_string e));
         (match Sw.release p (-1) with
-        | Error Zion.Sm_error.Invalid_param -> ()
+        | Error Zion.Ecall.Invalid_param -> ()
         | _ -> Alcotest.fail "out-of-range release not rejected");
         Alcotest.(check int) "nothing live" 0 (Sw.in_use p));
     Alcotest.test_case "pool exhaustion is a typed No_memory" `Quick
@@ -470,9 +470,9 @@ let hygiene_tests =
           | Error _ -> Alcotest.fail "premature exhaustion"
         done;
         match Sw.acquire p with
-        | Error Zion.Sm_error.No_memory -> ()
+        | Error Zion.Ecall.No_memory -> ()
         | Ok _ -> Alcotest.fail "65th slot appeared"
-        | Error e -> Alcotest.fail ("wrong error: " ^ Zion.Sm_error.to_string e));
+        | Error e -> Alcotest.fail ("wrong error: " ^ Zion.Ecall.error_to_string e));
     Alcotest.test_case "audit flags a bounce slot aliasing a private page"
       `Quick (fun () ->
         let _, monitor, kvm = make_stack () in
@@ -503,22 +503,16 @@ let hygiene_tests =
 
 let check_blocked name outcome =
   match outcome with
-  | Hypervisor.Attacks.Blocked _ -> ()
-  | Hypervisor.Attacks.Leaked m -> Alcotest.fail (name ^ " leaked: " ^ m)
+  | Platform.Attacks.Blocked _ -> ()
+  | Platform.Attacks.Leaked m -> Alcotest.fail (name ^ " leaked: " ^ m)
 
 let attack_tests =
   [
     Alcotest.test_case "ring-poison attack vectors are all blocked" `Quick
       (fun () ->
-        Alcotest.(check int)
-          "six vectors" 6
-          (List.length Hypervisor.Attacks.ring_vectors);
-        List.iter
-          (fun (name, attack) ->
-            let _, _, kvm = make_stack () in
-            let h = make_guest kvm (Guest.Gprog.hello "x") in
-            check_blocked name (attack kvm h))
-          Hypervisor.Attacks.ring_vectors);
+        let rows = Platform.Attacks.suite [ Ring ] in
+        Alcotest.(check int) "six vectors" 6 (List.length rows);
+        List.iter (fun (name, outcome) -> check_blocked name outcome) rows);
     Alcotest.test_case "the host reaches the ring page only as IOPMP-checked DMA"
       `Quick (fun () ->
         let machine, monitor, kvm = make_stack () in
@@ -661,7 +655,7 @@ let attack_tests =
         Hypervisor.Shared_map.map_secure_page_for_attack (shared b)
           ~gpa:Sw.ring_gpa ~pa:normal;
         match submit gb with
-        | Error e -> Alcotest.fail (Zion.Sm_error.to_string e)
+        | Error e -> Alcotest.fail (Zion.Ecall.error_to_string e)
         | Ok id ->
             Alcotest.(check int64) "descriptor on the normal page"
               (Sw.slot_gpa 10)
@@ -690,7 +684,7 @@ let health_tests =
               ()
           with
           | Ok _ -> ()
-          | Error e -> Alcotest.fail (Zion.Sm_error.to_string e)
+          | Error e -> Alcotest.fail (Zion.Ecall.error_to_string e)
         done;
         ignore (Kvm.service_exitless kvm h : int);
         ignore (Kvm.exitless_poll kvm h : int * Ring.verdict);

@@ -258,16 +258,16 @@ let sweep_tests =
   [
     Alcotest.test_case
       "crash at every journal point of every op converges" `Slow (fun () ->
-        let r = Hypervisor.Chaos.sm_crash_sweep () in
-        if not (Hypervisor.Chaos.sm_survived r) then
+        let r = Platform.Chaos.sm_crash_sweep () in
+        if not (Platform.Chaos.sm_survived r) then
           Alcotest.failf "sweep compromised:@\n%a"
-            Hypervisor.Chaos.pp_sm_report r;
+            Platform.Chaos.pp_sm_report r;
         Alcotest.(check int) "all twenty operations swept" 20
-          (List.length r.Hypervisor.Chaos.sm_ops);
+          (List.length r.Platform.Chaos.sm_ops);
         List.iter
           (fun op ->
             Alcotest.(check bool) (op ^ " swept") true
-              (List.mem_assoc op r.Hypervisor.Chaos.sm_ops))
+              (List.mem_assoc op r.Platform.Chaos.sm_ops))
           [
             "chan-grant"; "chan-accept"; "chan-revoke"; "chan-degrade";
             "chan-destroy-a"; "chan-destroy-b"; "chan-quarantine";
@@ -278,9 +278,9 @@ let sweep_tests =
             if pts < 3 then
               Alcotest.failf "%s crash-tested only %d journal points" op
                 pts)
-          r.Hypervisor.Chaos.sm_ops;
+          r.Platform.Chaos.sm_ops;
         Alcotest.(check bool) "nested recovery crashes were injected" true
-          (r.Hypervisor.Chaos.sm_crashes > r.Hypervisor.Chaos.sm_cases / 2));
+          (r.Platform.Chaos.sm_crashes > r.Platform.Chaos.sm_cases / 2));
   ]
 
 (* ---------- jittered expansion backoff ---------- *)

@@ -238,8 +238,8 @@ let nvm_tests =
 let attack_tests =
   let expect_blocked name outcome =
     match outcome with
-    | Hypervisor.Attacks.Blocked _ -> ()
-    | Hypervisor.Attacks.Leaked what ->
+    | Platform.Attacks.Blocked _ -> ()
+    | Platform.Attacks.Leaked what ->
         Alcotest.fail (name ^ " leaked: " ^ what)
   in
   [
@@ -256,40 +256,40 @@ let attack_tests =
           | [] -> Alcotest.fail "no pool"
         in
         expect_blocked "read"
-          (Hypervisor.Attacks.read_secure_memory machine ~pool_pa:pool);
+          (Platform.Attacks.read_secure_memory machine ~pool_pa:pool);
         expect_blocked "write"
-          (Hypervisor.Attacks.write_secure_memory machine ~pool_pa:pool);
+          (Platform.Attacks.write_secure_memory machine ~pool_pa:pool);
         Iopmp.allow_all_default (Bus.iopmp machine.Machine.bus) true;
         expect_blocked "dma"
-          (Hypervisor.Attacks.dma_into_pool machine ~pool_pa:pool));
+          (Platform.Attacks.dma_into_pool machine ~pool_pa:pool));
     Alcotest.test_case "attack suite: shared-vCPU tampering" `Quick
       (fun () ->
         let _, monitor, kvm = make_stack () in
         (* Stop the guest at an MMIO read so a reply is pending. *)
         let id =
-          Hypervisor.Kvm.cvm_id (Hypervisor.Attacks.park_at_mmio_read kvm)
+          Hypervisor.Kvm.cvm_id (Platform.Attacks.park_at_mmio_read kvm)
         in
         expect_blocked "register redirect"
-          (Hypervisor.Attacks.tamper_mmio_reply_register monitor ~cvm:id));
+          (Platform.Attacks.tamper_mmio_reply_register monitor ~cvm:id));
     Alcotest.test_case "attack suite: bogus pc advance" `Quick (fun () ->
         let _, monitor, kvm = make_stack () in
         let id =
-          Hypervisor.Kvm.cvm_id (Hypervisor.Attacks.park_at_mmio_read kvm)
+          Hypervisor.Kvm.cvm_id (Platform.Attacks.park_at_mmio_read kvm)
         in
         expect_blocked "pc advance"
-          (Hypervisor.Attacks.tamper_mmio_pc_advance monitor ~cvm:id));
+          (Platform.Attacks.tamper_mmio_pc_advance monitor ~cvm:id));
     Alcotest.test_case "attack suite: vCPU state theft" `Quick (fun () ->
         let _, monitor, kvm = make_stack () in
         let h = make_guest kvm (Guest.Gprog.hello "x") in
         expect_blocked "steal"
-          (Hypervisor.Attacks.steal_vcpu_state monitor
+          (Platform.Attacks.steal_vcpu_state monitor
              ~cvm:(Hypervisor.Kvm.cvm_id h)));
     Alcotest.test_case
       "attack suite: exitful blk read into a pool page is refused" `Quick
       (fun () ->
         let machine, _, kvm = make_stack () in
         expect_blocked "blk read into the pool"
-          (Hypervisor.Attacks.blk_read_into_pool kvm);
+          (Platform.Attacks.blk_read_into_pool kvm);
         (* The guest printed the slot's first byte after the refused
            read: it ran on past the kick to its shutdown. *)
         Alcotest.(check int)
@@ -300,7 +300,7 @@ let attack_tests =
       (fun () ->
         let machine, _, kvm = make_stack () in
         expect_blocked "net RX fill into the pool"
-          (Hypervisor.Attacks.net_rx_into_pool kvm);
+          (Platform.Attacks.net_rx_into_pool kvm);
         Alcotest.(check string)
           "guest saw no packet" "!"
           (Machine.console_output machine));
@@ -309,7 +309,7 @@ let attack_tests =
       `Quick (fun () ->
         let _, _, kvm = make_stack () in
         expect_blocked "ring alias"
-          (Hypervisor.Attacks.ring_alias_private_page kvm));
+          (Platform.Attacks.ring_alias_private_page kvm));
     Alcotest.test_case
       "attack suite: DMA via hostile shared mapping dies on IOPMP" `Quick
       (fun () ->
@@ -340,6 +340,43 @@ let attack_tests =
            with
           | _ -> false
           | exception Bus.Fault _ -> true));
+    Alcotest.test_case
+      "attack suite: register theft from a quarantined CVM is not blocked"
+      `Quick (fun () ->
+        let _, monitor, kvm = make_stack () in
+        let id =
+          Hypervisor.Kvm.cvm_id (Platform.Attacks.park_at_mmio_read kvm)
+        in
+        expect_blocked "register redirect"
+          (Platform.Attacks.tamper_mmio_reply_register monitor ~cvm:id);
+        Alcotest.(check bool)
+          "the tamper quarantined the guest" true
+          (Zion.Monitor.cvm_state monitor ~cvm:id = Some Zion.Cvm.Quarantined);
+        (* The SM answers Quarantined before it reaches the pending-exit
+           check, so the theft never met its defence. *)
+        match Platform.Attacks.steal_vcpu_state monitor ~cvm:id with
+        | Platform.Attacks.Blocked why ->
+            Alcotest.fail ("reported blocked: " ^ why)
+        | Platform.Attacks.Leaked _ -> ());
+    Alcotest.test_case
+      "attack suite: 20 distinct vectors, each blocked on its own platform"
+      `Quick (fun () ->
+        let groups =
+          [
+            ("host", 9, Platform.Attacks.suite [ Host ]);
+            ("ring", 6, Platform.Attacks.suite [ Ring ]);
+            ("channel", 5, Platform.Attacks.suite [ Channel ]);
+          ]
+        in
+        List.iter
+          (fun (group, n, rows) ->
+            Alcotest.(check int) (group ^ " vectors") n (List.length rows))
+          groups;
+        let rows = List.concat_map (fun (_, _, rows) -> rows) groups in
+        Alcotest.(check int)
+          "distinct names" 20
+          (List.length (List.sort_uniq compare (List.map fst rows)));
+        List.iter (fun (name, outcome) -> expect_blocked name outcome) rows);
   ]
 
 let scheduler_tests =

@@ -421,10 +421,10 @@ let shootdown_tests =
     Alcotest.test_case "chaos fuzzing with retention stays coherent" `Slow
       (fun () ->
         let report =
-          Hypervisor.Chaos.run ~tlb_retention:true ~seed:11 ~iters:150 ()
+          Platform.Chaos.run ~tlb_retention:true ~seed:11 ~iters:150 ()
         in
-        if not (Hypervisor.Chaos.survived report) then
-          Alcotest.failf "chaos run failed: %a" Hypervisor.Chaos.pp_report
+        if not (Platform.Chaos.survived report) then
+          Alcotest.failf "chaos run failed: %a" Platform.Chaos.pp_report
             report);
   ]
 
